@@ -18,6 +18,7 @@ module Domain = Oasis_domain.Domain
 module Anonymity = Oasis_domain.Anonymity
 module Value = Oasis_util.Value
 module Ident = Oasis_util.Ident
+module Dlog = Oasis_trust.Decision_log
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -69,10 +70,10 @@ let () =
   banner "What each party knows";
   Printf.printf "  clinic audit trail:\n";
   List.iter
-    (fun (e : Service.audit_entry) ->
-      Printf.printf "    %s by %s  <- pseudonymous\n" e.Service.action
-        (Ident.to_string e.Service.principal))
-    (Service.audit_log clinic);
+    (fun (r : Dlog.record) ->
+      if r.decision = Dlog.Grant then
+        Printf.printf "    %s by %s  <- pseudonymous\n" r.action (Ident.to_string r.principal))
+    (Dlog.records (Service.decision_log clinic));
   Printf.printf
     "  insurer: validated one membership card (%d validation(s) served), learned nothing else\n"
     (Array.fold_left ( + ) 0 (Oasis_domain.Civ.stats (Domain.civ insurer)).Oasis_domain.Civ.validations_served);

@@ -22,6 +22,7 @@ module Env = Oasis_policy.Env
 module Term = Oasis_policy.Term
 module Value = Oasis_util.Value
 module Network = Oasis_sim.Network
+module Dlog = Oasis_trust.Decision_log
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -208,18 +209,17 @@ let () =
   Printf.printf "  record now: %s\n" (String.concat " | " (Hashtbl.find store 1005));
 
   banner "Audit (Sect. 3: the original requester is recorded)";
-  List.iter
-    (fun (e : Service.audit_entry) ->
-      Printf.printf "  [national] %s(%s) by %s\n" e.Service.action
-        (String.concat ", " (List.map Value.to_string e.Service.args))
-        (Oasis_util.Ident.to_string e.Service.principal))
-    (Service.audit_log records);
-  List.iter
-    (fun (e : Service.audit_entry) ->
-      Printf.printf "  [hospital-ehr] %s(%s) by %s\n" e.Service.action
-        (String.concat ", " (List.map Value.to_string e.Service.args))
-        (Oasis_util.Ident.to_string e.Service.principal))
-    (Service.audit_log ehr_service);
+  let print_grants name svc =
+    List.iter
+      (fun (r : Dlog.record) ->
+        if r.decision = Dlog.Grant then
+          Printf.printf "  [%s] %s(%s) by %s\n" name r.action
+            (String.concat ", " (List.map Value.to_string r.args))
+            (Oasis_util.Ident.to_string r.principal))
+      (Dlog.records (Service.decision_log svc))
+  in
+  print_grants "national" records;
+  print_grants "hospital-ehr" ehr_service;
 
   banner "Patient exception: the patient excludes Dr Carol";
   Env.assert_fact (Domain.env hospital) "excluded"

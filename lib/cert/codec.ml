@@ -183,3 +183,33 @@ let appointment_of_string s =
       if r.pos <> String.length s then fail r.pos "trailing bytes after certificate";
       Appointment.of_parts ~id ~issuer ~kind ~args ~holder ~issued_at ~expires_at ~epoch ~signature)
     s
+
+(* ------------------------------------------------------------------ *)
+(* Any field list                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let fields_of_string tag s =
+  run_decoder
+    (fun r ->
+      decode_header r tag;
+      let rec go acc =
+        if r.pos >= String.length s then List.rev acc
+        else
+          let at = r.pos in
+          let field =
+            match read_tlv r with
+            | 'I', p -> Wire.Fident (decode_ident at p)
+            | 'S', p -> Wire.Fstring p
+            | 'V', p -> (
+                match decode_values at p with
+                | [ v ] -> Wire.Fvalue v
+                | _ -> fail at "expected exactly one value")
+            | 'F', p -> Wire.Ffloat (decode_float at p)
+            | 'N', p -> Wire.Fint (decode_int at p)
+            | 'L', p -> Wire.Fvalues (decode_values at p)
+            | c, _ -> fail at (Printf.sprintf "unknown field tag %C" c)
+          in
+          go (field :: acc)
+      in
+      go [])
+    s

@@ -17,3 +17,10 @@ val rmc_of_string : string -> (Rmc.t, error) result
 
 val appointment_to_string : Appointment.t -> string
 val appointment_of_string : string -> (Appointment.t, error) result
+
+val fields_of_string : string -> string -> (Wire.field list, error) result
+(** [fields_of_string tag s] inverts [Wire.encode tag fields] for any
+    field list: [Ok fields] exactly when [s] is the canonical encoding of
+    [fields] under [tag]. The certificate decoders above fix the field
+    order; this one hands the caller whatever the stream holds (the
+    decision log's records, DESIGN.md §15). *)

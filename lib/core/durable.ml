@@ -1,8 +1,8 @@
 (* Simulated durable storage: string-keyed blobs that survive a node crash
    (crash/restart hooks drop only in-memory state; nothing ever clears
-   this store except its owner). Services mirror their decision-log chains
-   here incrementally — one appended line per logged decision — and resume
-   from the blob on restart. [corrupt] is the adversary move for the
+   this store except its owner). A service's decision log appends its
+   chain straight into its bucket — the only copy — and resumes from the
+   same buffer on restart. [corrupt] is the adversary move for the
    fail-closed resume tests: flip one byte of what is on "disk" while the
    node is down. *)
 
@@ -18,35 +18,19 @@ let bucket t key =
       Hashtbl.replace t.blobs key b;
       b
 
-let set t key data =
-  let b = bucket t key in
-  Buffer.clear b;
-  Buffer.add_string b data
-
-let append t key data = Buffer.add_string (bucket t key) data
-
 let get t key =
   match Hashtbl.find_opt t.blobs key with
   | Some b -> Some (Buffer.contents b)
   | None -> None
-
-let mem t key = Hashtbl.mem t.blobs key
-
-let remove t key = Hashtbl.remove t.blobs key
 
 let size t key =
   match Hashtbl.find_opt t.blobs key with Some b -> Buffer.length b | None -> 0
 
 let corrupt t key ~byte =
   match Hashtbl.find_opt t.blobs key with
-  | None -> false
-  | Some b when Buffer.length b = 0 -> false
-  | Some b ->
-      let data = Buffer.contents b in
-      let n = String.length data in
-      let i = ((byte mod n) + n) mod n in
-      let bytes = Bytes.of_string data in
-      Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 1));
+  | Some b when Buffer.length b > 0 ->
+      let data = Oasis_trust.Decision_log.tamper (Buffer.contents b) ~byte in
       Buffer.clear b;
-      Buffer.add_bytes b bytes;
+      Buffer.add_string b data;
       true
+  | _ -> false

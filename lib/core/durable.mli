@@ -2,32 +2,26 @@
 
     A crash drops a node's in-memory state; what it wrote here survives.
     One store per world, keyed by opaque strings (services prefix their
-    own identifier). Decision-log chains are mirrored into it
-    incrementally — {!append} one export line per logged decision — and
-    {!get} hands the whole blob back to {!Oasis_trust.Decision_log.resume}
-    on restart. *)
+    own identifier). A service's decision-log chain lives here and nowhere
+    else: {!Oasis_trust.Decision_log} appends straight into the {!bucket}
+    under ["dlog:<sid>"], and on restart
+    {!Oasis_trust.Decision_log.resume} re-verifies that same buffer. *)
 
 type t
 
 val create : unit -> t
 
-val set : t -> string -> string -> unit
-(** Replace the blob under a key (creating it if absent). *)
-
-val append : t -> string -> string -> unit
-(** Append to the blob under a key (creating it if absent) — the
-    incremental path: cost is the appended bytes, never the blob size. *)
+val bucket : t -> string -> Buffer.t
+(** The live buffer under a key, created empty if absent. Writers append
+    to it in place — the write cost is the appended bytes, never the blob
+    size — and whatever it holds is what survives a crash. *)
 
 val get : t -> string -> string option
-
-val mem : t -> string -> bool
-
-val remove : t -> string -> unit
 
 val size : t -> string -> int
 (** Blob length in bytes; 0 when absent. *)
 
 val corrupt : t -> string -> byte:int -> bool
-(** Flip the low bit of byte [byte mod size] of the stored blob — the
-    adversary tampering with "disk" while the node is down. Returns
-    [false] when there is nothing to corrupt. *)
+(** {!Oasis_trust.Decision_log.tamper} applied to the stored blob, in
+    place — the adversary flipping one bit on "disk" while the node is
+    down. Returns [false] when there is nothing to corrupt. *)

@@ -64,14 +64,6 @@ let default_config =
     fail_open_chain = false;
   }
 
-type audit_entry = {
-  at : float;
-  principal : Ident.t;
-  action : string;
-  args : Value.t list;
-  creds_used : Ident.t list;
-}
-
 (* Watch state for one remote credential supporting an active role or a
    cached validation verdict. *)
 type watch =
@@ -140,6 +132,8 @@ type counters = {
   retries_validate : Obs.Counter.t;
   retries_reconcile : Obs.Counter.t;
   flaps_suppressed : Obs.Counter.t;
+  audit_records : (Dlog.decision, Obs.Counter.t) Hashtbl.t;
+      (* audit.records by decision kind, resolved on first use *)
 }
 
 type stats = {
@@ -191,7 +185,6 @@ type t = {
   cache_watched : watch Ident.Tbl.t;  (* remote cert id -> invalidation watch *)
   st : counters;
   mutable dlog : Dlog.t; (* replaced by the durable-resume on restart *)
-  mutable audit : audit_entry list;
   mutable crashed : bool;
   (* Reconciliation scheduler: at most [config.reconcile_batch] suspect
      roles re-validate concurrently; the rest queue. *)
@@ -383,12 +376,19 @@ let cancel_suspect t issued =
       | None -> ());
       issued.suspect <- None
 
-(* The decision-log chain is mirrored into the world's durable store under
-   this key: the header once at creation, then one export line per
-   appended record (incremental — the write cost per decision is that
-   line, never the chain). Restart resumes from the blob; see
-   [resume_chain]. *)
-let chain_key t = "dlog:" ^ Ident.to_string t.sid
+(* The decision-log chain lives in the world's durable store under this
+   key and nowhere else: the log appends each record's line straight into
+   the blob, and restart resumes from it; see [resume_chain]. *)
+let chain_bucket world sid = Durable.bucket (World.durable world) ("dlog:" ^ Ident.to_string sid)
+
+let audit_records t decision =
+  match Hashtbl.find_opt t.st.audit_records decision with
+  | Some c -> c
+  | None ->
+      let labels = [ ("service", t.sname); ("decision", Dlog.decision_label decision) ] in
+      let c = Obs.counter t.obs "audit.records" ~labels in
+      Hashtbl.replace t.st.audit_records decision c;
+      c
 
 (* Every access-control decision lands in the hash-chained per-service
    decision log with its provenance, plus the audit.records counter. The
@@ -396,14 +396,11 @@ let chain_key t = "dlog:" ^ Ident.to_string t.sid
    before it (0 while tracing is off). *)
 let log_decision t ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds = [])
     ?(env_facts = []) () =
-  Obs.Counter.inc
-    (Obs.counter t.obs "audit.records"
-       ~labels:[ ("service", t.sname); ("decision", Dlog.decision_label decision) ]);
-  let r =
-    Dlog.append t.dlog ~at:(World.now t.world) ~decision ~principal ~action ~args ~rule ~creds
-      ~env_facts ~trace_seq:(Obs.last_seq t.obs) ()
-  in
-  Durable.append (World.durable t.world) (chain_key t) (Dlog.export_line r)
+  Obs.Counter.inc (audit_records t decision);
+  ignore
+    (Dlog.append t.dlog ~at:(World.now t.world) ~decision ~principal ~action ~args ~rule ~creds
+       ~env_facts ~trace_seq:(Obs.last_seq t.obs) ()
+      : Dlog.record)
 
 let render_env_fact (name, args) =
   if args = [] then name
@@ -1146,31 +1143,28 @@ let crash_node t =
 
 exception Chain_tampered of { service : string; seq : int; why : string }
 
-(* Resume the decision-log chain from its durable mirror: re-verify every
+(* Resume the decision-log chain from its durable blob: re-verify every
    line and continue appending from the verified head. Verification
    failure means the "disk" was tampered with (or truncated mid-line)
    while the node was down; a fail-closed service refuses to restart on it
    — building new decisions onto a forged prefix would launder the
-   forgery. The [fail_open_chain] ablation keeps the in-memory chain and
-   skips verification, which is exactly how tampering goes unnoticed
-   (demonstrated in bench E17). *)
+   forgery. The [fail_open_chain] ablation keeps the pre-crash length and
+   head and skips verification, which is exactly how tampering goes
+   unnoticed (demonstrated in bench E17). *)
 let resume_chain t =
-  if not t.config.fail_open_chain then
-    match Durable.get (World.durable t.world) (chain_key t) with
-    | None -> () (* never wrote anything durable: nothing to resume *)
-    | Some blob -> (
-        let outcome label =
-          Obs.Counter.inc
-            (Obs.counter t.obs "audit.chain"
-               ~labels:[ ("service", t.sname); ("outcome", label) ])
-        in
-        match Dlog.resume ~service:t.sid blob with
-        | Ok dlog ->
-            outcome "resumed";
-            t.dlog <- dlog
-        | Error (seq, why) ->
-            outcome "tampered";
-            raise (Chain_tampered { service = t.sname; seq; why }))
+  if not t.config.fail_open_chain then begin
+    let outcome label =
+      Obs.Counter.inc
+        (Obs.counter t.obs "audit.chain" ~labels:[ ("service", t.sname); ("outcome", label) ])
+    in
+    match Dlog.resume ~service:t.sid (chain_bucket t.world t.sid) with
+    | Ok dlog ->
+        outcome "resumed";
+        t.dlog <- dlog
+    | Error (seq, why) ->
+        outcome "tampered";
+        raise (Chain_tampered { service = t.sname; seq; why })
+  end
 
 (* Restart rebuilds the active-security machinery from durable records:
    emitters resume for valid certificates, env constraints are re-checked
@@ -1231,7 +1225,6 @@ let restart_node t =
 
 let record_audit t ?issued ~principal ~action ~args ~support ~rule () =
   let creds_used = support_creds support in
-  t.audit <- { at = World.now t.world; principal; action; args; creds_used } :: t.audit;
   (* A grant that mints a certificate leads with it, then the supporting
      credentials — [oasisctl audit why --cert] finds either. *)
   let creds = match issued with Some id -> id :: creds_used | None -> creds_used in
@@ -1618,17 +1611,14 @@ let create world ~name ?(config = default_config) ?env ~policy () =
           retries_validate = Obs.counter obs "rpc.retries" ~labels:[ ("site", "validate") ];
           retries_reconcile = Obs.counter obs "rpc.retries" ~labels:[ ("site", "reconcile") ];
           flaps_suppressed = Obs.counter obs "trust.flaps_suppressed" ~labels;
+          audit_records = Hashtbl.create 5;
         };
-      dlog = Dlog.create ~service:sid;
-      audit = [];
+      dlog = Dlog.create ~service:sid (chain_bucket world sid);
       crashed = false;
       recon_running = 0;
       recon_queue = Queue.create ();
     }
   in
-  (* Seed the chain's durable mirror: the header once, then every logged
-     decision appends its own line (see [log_decision]). *)
-  Durable.set (World.durable world) (chain_key t) (Dlog.export_header t.dlog);
   install_policy t (Parser.parse_exn policy);
   install_env_listener t;
   (* Bridge the world's live trust assessor behind the [trust_score]
@@ -1744,7 +1734,6 @@ let roles_defined t = Hashtbl.fold (fun role _ acc -> role :: acc) t.activations
 let privileges_defined t =
   Hashtbl.fold (fun privilege _ acc -> privilege :: acc) t.authorizations [] |> List.sort compare
 
-let audit_log t = t.audit
 let decision_log t = t.dlog
 
 let stats t =

@@ -180,7 +180,7 @@ val crash : t -> unit
 
 exception Chain_tampered of { service : string; seq : int; why : string }
 (** Raised by {!restart} (fail-closed, the default) when the durable
-    export of the decision-log chain does not verify — the "disk" was
+    decision-log chain does not verify — the "disk" was
     tampered with or truncated while the node was down. The service stays
     crashed: building new decisions onto a forged prefix would launder the
     forgery. [seq] is the first record that fails; [why] the cause. *)
@@ -234,24 +234,15 @@ val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
 val roles_defined : t -> string list
 val privileges_defined : t -> string list
 
-(** An audit record of a granted request; Sect. 3 requires "the identity of
-    the original requester ... recorded for audit". *)
-type audit_entry = {
-  at : float;
-  principal : Oasis_util.Ident.t;
-  action : string;  (** privilege name, or ["activate:role"] / ["appoint:kind"] *)
-  args : Oasis_util.Value.t list;
-  creds_used : Oasis_util.Ident.t list;  (** certificate ids supporting the proof *)
-}
-
-val audit_log : t -> audit_entry list
-(** Newest first. *)
-
 val decision_log : t -> Oasis_trust.Decision_log.t
 (** The hash-chained decision log (DESIGN.md §15): every grant, deny,
     revoke, suspect and reconcile decision this service has taken, with
     the rule that fired, the credentials and env facts it rested on, and
-    the obs trace seq it correlates with. Surfaced by [oasisctl audit]. *)
+    the obs trace seq it correlates with. It is the service's only audit
+    trail — Sect. 3's "identity of the original requester ... recorded for
+    audit" is each [Grant] record's principal — and it is stored once, in
+    the world's durable store under ["dlog:<sid>"], so its records survive
+    {!crash} and {!restart}. Surfaced by [oasisctl audit]. *)
 
 type stats = {
   activations_granted : int;

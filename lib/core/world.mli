@@ -48,8 +48,8 @@ val monitoring : t -> monitoring
 
 val durable : t -> Durable.t
 (** The world's simulated durable store: blobs written here survive node
-    crashes (services mirror their decision-log chains into it and resume
-    from it on restart, DESIGN.md §16). *)
+    crashes (each service's decision-log chain lives here and resumes from
+    it on restart, DESIGN.md §16). *)
 
 val authority : t -> Oasis_cert.Signed.authority
 (** The world's domain root (DESIGN.md §12): certifies per-service issuing

@@ -148,10 +148,7 @@ let digest_bytes b =
 
 let to_raw_string d = d
 
-let to_hex d =
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+let to_hex = Oasis_util.Hex.encode
 
 let of_raw_string s = if String.length s = 32 then Some s else None
 

@@ -1,24 +1,23 @@
 module Ident = Oasis_util.Ident
 module Value = Oasis_util.Value
+module Hex = Oasis_util.Hex
 module Wire = Oasis_cert.Wire
+module Codec = Oasis_cert.Codec
 module Sha256 = Oasis_crypto.Sha256
 
 type decision = Grant | Deny | Revoke | Suspect | Reconcile
 
-let decision_label = function
-  | Grant -> "grant"
-  | Deny -> "deny"
-  | Revoke -> "revoke"
-  | Suspect -> "suspect"
-  | Reconcile -> "reconcile"
+let labels =
+  [
+    (Grant, "grant");
+    (Deny, "deny");
+    (Revoke, "revoke");
+    (Suspect, "suspect");
+    (Reconcile, "reconcile");
+  ]
 
-let decision_of_label = function
-  | "grant" -> Some Grant
-  | "deny" -> Some Deny
-  | "revoke" -> Some Revoke
-  | "suspect" -> Some Suspect
-  | "reconcile" -> Some Reconcile
-  | _ -> None
+let decision_label d = List.assq d labels
+let decision_of_label l = List.find_map (fun (d, l') -> if l = l' then Some d else None) labels
 
 type record = {
   seq : int;
@@ -35,25 +34,27 @@ type record = {
   hash : Sha256.digest;
 }
 
-(* A chain resumed from a durable export holds its pre-crash prefix as
-   opaque (payload, hash) pairs: the wire encoding is one-way, so the
-   typed fields are gone, but the bytes are exactly what re-export and
-   re-verification need, and the chain keeps extending from the same
-   head. *)
-type entry = Full of record | Imported of { payload : string; hash : Sha256.digest }
-
-type t = {
-  owner : Ident.t;
-  mutable rev_entries : entry list; (* newest first *)
-  mutable length : int;
-  mutable head : Sha256.digest;
-}
+(* The log is its own textual export, held in [buf]: a header line naming
+   the owner, then one "<hex payload> <hex chain hash>" line per record.
+   Services hand in their durable blob, so the chain is stored exactly
+   once; [length] and [head] are the running state [append] chains on.
+   Every reader decodes the lines back — hex so the blob survives editors
+   and diffs, and so a one-byte tamper is always visible (bad hex parses
+   are failures too). *)
+type t = { owner : Ident.t; buf : Buffer.t; mutable length : int; mutable head : Sha256.digest }
 
 (* Binding the genesis digest to the service identifier means a chain
    exported by one service can never verify as another's. *)
 let genesis owner = Sha256.digest_string ("oasis-decision-log:" ^ Ident.to_string owner)
 
-let create ~service = { owner = service; rev_entries = []; length = 0; head = genesis service }
+let header_magic = "oasis-decision-log v1 "
+
+let create ~service buf =
+  Buffer.clear buf;
+  Buffer.add_string buf header_magic;
+  Buffer.add_string buf (Ident.to_string service);
+  Buffer.add_char buf '\n';
+  { owner = service; buf; length = 0; head = genesis service }
 
 let payload r =
   Wire.encode "decision"
@@ -66,9 +67,50 @@ let payload r =
       Wire.Fvalues r.args;
       Wire.Fstring r.rule;
       Wire.Fvalues (List.map (fun id -> Value.Id id) r.creds);
-      Wire.Fstring (String.concat ";" r.env_facts);
+      Wire.Fvalues (List.map (fun f -> Value.Str f) r.env_facts);
       Wire.Fint r.trace_seq;
     ]
+
+(* Inverse of [payload]; [None] only for a payload no [append] wrote. *)
+let decode ~seq ~prev ~hash body =
+  let id = function Value.Id i -> i | _ -> raise Exit in
+  let str = function Value.Str s -> s | _ -> raise Exit in
+  match Codec.fields_of_string "decision" body with
+  | Ok
+      Wire.
+        [
+          Fint seq';
+          Ffloat at;
+          Fstring label;
+          Fident principal;
+          Fstring action;
+          Fvalues args;
+          Fstring rule;
+          Fvalues creds;
+          Fvalues env_facts;
+          Fint trace_seq;
+        ]
+    when seq' = seq -> (
+      match (decision_of_label label, List.map id creds, List.map str env_facts) with
+      | Some decision, creds, env_facts ->
+          Some
+            {
+              seq;
+              at;
+              decision;
+              principal;
+              action;
+              args;
+              rule;
+              creds;
+              env_facts;
+              trace_seq;
+              prev;
+              hash;
+            }
+      | None, _, _ -> None
+      | exception Exit -> None)
+  | _ -> None
 
 let chain_hash ~prev body = Sha256.digest_string (Sha256.to_raw_string prev ^ body)
 
@@ -90,164 +132,95 @@ let append t ~at ~decision ~principal ~action ?(args = []) ?(rule = "") ?(creds 
       hash = t.head;
     }
   in
-  let r = { r with hash = chain_hash ~prev:t.head (payload r) } in
-  t.rev_entries <- Full r :: t.rev_entries;
+  let body = payload r in
+  let hash = chain_hash ~prev:t.head body in
+  Buffer.add_string t.buf (Hex.encode body);
+  Buffer.add_char t.buf ' ';
+  Buffer.add_string t.buf (Sha256.to_hex hash);
+  Buffer.add_char t.buf '\n';
   t.length <- t.length + 1;
-  t.head <- r.hash;
-  r
+  t.head <- hash;
+  { r with hash }
 
-let service t = t.owner
 let length t = t.length
 let head t = t.head
+let export t = Buffer.contents t.buf
 
-let records t =
-  List.rev
-    (List.filter_map (function Full r -> Some r | Imported _ -> None) t.rev_entries)
+(* First index in [i, stop) holding [c], else [stop]. Walks read the
+   buffer in place: copying a long chain out of it would double it in
+   memory for every read. *)
+let rec scan src c i stop = if i < stop && Buffer.nth src i <> c then scan src c (i + 1) stop else i
 
-let imported_count t =
-  List.length (List.filter (function Imported _ -> true | Full _ -> false) t.rev_entries)
-
-let find t ~seq =
-  List.find_opt
-    (fun r -> r.seq = seq)
-    (List.filter_map (function Full r -> Some r | Imported _ -> None) t.rev_entries)
-
-let entry_payload = function Full r -> payload r | Imported { payload; _ } -> payload
-let entry_hash = function Full r -> r.hash | Imported { hash; _ } -> hash
-
-let verify t =
-  let rec go seq prev = function
-    | [] -> Ok t.length
-    | e :: rest -> (
-        match e with
-        | Full r when not (Sha256.equal r.prev prev) -> Error (r.seq, "prev-hash mismatch")
-        | _ ->
-            let expect = chain_hash ~prev (entry_payload e) in
-            if not (Sha256.equal expect (entry_hash e)) then
-              Error (seq, "record hash mismatch")
-            else go (seq + 1) expect rest)
-  in
-  go 0 (genesis t.owner) (List.rev t.rev_entries)
-
-(* Textual export: hex payloads so the file survives editors and diffs, and
-   so a one-byte tamper is always visible to the verifier (bad hex parses
-   are failures too). *)
-
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let string_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
+(* [start, stop) of the next non-blank line at or after [pos]. *)
+let rec next_line src pos =
+  if pos >= Buffer.length src then None
   else
-    let digit c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | _ -> None
-    in
-    let buf = Buffer.create (n / 2) in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
+    let stop = scan src '\n' pos (Buffer.length src) in
+    if stop = pos then next_line src (pos + 1) else Some (pos, stop)
+
+(* The one pass over an exported chain that every reader shares: parse the
+   header, then check each record line's hash against the chain from the
+   owner's genesis and fold [f] over the intact records. [Ok (owner,
+   length, head, acc)], or [Error (seq, why, acc)] at the first failing
+   line with [acc] folded over the records before it. *)
+let walk src ~init f =
+  match next_line src 0 with
+  | None -> Error (0, "empty chain file", init)
+  | Some (start, stop) -> (
+      let header = Buffer.sub src start (stop - start) and magic = String.length header_magic in
+      if not (String.starts_with ~prefix:header_magic header) then Error (0, "bad header", init)
       else
-        match (digit s.[i], digit s.[i + 1]) with
-        | Some hi, Some lo ->
-            Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | _ -> None
-    in
-    go 0
+        match Ident.of_string (String.sub header magic (String.length header - magic)) with
+        | None -> Error (0, "unparseable service identifier in header", init)
+        | Some owner ->
+            let rec go seq prev acc pos =
+              match next_line src pos with
+              | None -> Ok (owner, seq, prev, acc)
+              | Some (start, stop) -> (
+                  let sp = scan src ' ' start stop in
+                  if sp = stop then Error (seq, "malformed record line", acc)
+                  else
+                    match Hex.decode (Buffer.sub src start (sp - start)) with
+                    | None -> Error (seq, "payload is not valid hex", acc)
+                    | Some body ->
+                        let hash = chain_hash ~prev body in
+                        let stored = Buffer.sub src (sp + 1) (stop - sp - 1) in
+                        if not (String.equal (Sha256.to_hex hash) stored) then
+                          Error (seq, "chain hash mismatch", acc)
+                        else go (seq + 1) hash (f acc ~seq ~prev ~hash body) (stop + 1))
+            in
+            go 0 (genesis owner) init stop)
 
-let header_magic = "oasis-decision-log v1 "
-
-let export_header t = header_magic ^ Ident.to_string t.owner ^ "\n"
-
-let line_of ~body ~hash = hex_of_string body ^ " " ^ Sha256.to_hex hash ^ "\n"
-
-let export_line r = line_of ~body:(payload r) ~hash:r.hash
-
-let export t =
-  let buf = Buffer.create (256 * (t.length + 1)) in
-  Buffer.add_string buf (export_header t);
-  List.iter
-    (fun e -> Buffer.add_string buf (line_of ~body:(entry_payload e) ~hash:(entry_hash e)))
-    (List.rev t.rev_entries);
-  Buffer.contents buf
+let skip () ~seq:_ ~prev:_ ~hash:_ _ = ()
 
 let verify_string s =
-  let lines = String.split_on_char '\n' s in
-  let lines = List.filter (fun l -> l <> "") lines in
-  match lines with
-  | [] -> Error (0, "empty chain file")
-  | header :: rest ->
-      let magic_len = String.length header_magic in
-      if
-        String.length header < magic_len
-        || not (String.equal (String.sub header 0 magic_len) header_magic)
-      then Error (0, "bad header")
-      else
-        let owner_s = String.sub header magic_len (String.length header - magic_len) in
-        (match Ident.of_string owner_s with
-        | None -> Error (0, "unparseable service identifier in header")
-        | Some owner ->
-            let rec go seq prev = function
-              | [] -> Ok seq
-              | line :: rest -> (
-                  match String.index_opt line ' ' with
-                  | None -> Error (seq, "malformed record line")
-                  | Some sp -> (
-                      let payload_hex = String.sub line 0 sp in
-                      let hash_hex = String.sub line (sp + 1) (String.length line - sp - 1) in
-                      match string_of_hex payload_hex with
-                      | None -> Error (seq, "payload is not valid hex")
-                      | Some body ->
-                          let expect = chain_hash ~prev body in
-                          if not (String.equal (Sha256.to_hex expect) hash_hex) then
-                            Error (seq, "chain hash mismatch")
-                          else go (seq + 1) expect rest))
-            in
-            go 0 (genesis owner) rest)
+  let src = Buffer.create (String.length s) in
+  Buffer.add_string src s;
+  match walk src ~init:() skip with
+  | Ok (_, n, _, ()) -> Ok n
+  | Error (seq, why, ()) -> Error (seq, why)
 
-let resume ~service s =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  match lines with
-  | [] -> Error (0, "empty chain file")
-  | header :: rest -> (
-      let magic_len = String.length header_magic in
-      if
-        String.length header < magic_len
-        || not (String.equal (String.sub header 0 magic_len) header_magic)
-      then Error (0, "bad header")
-      else
-        let owner_s = String.sub header magic_len (String.length header - magic_len) in
-        match Ident.of_string owner_s with
-        | None -> Error (0, "unparseable service identifier in header")
-        | Some owner ->
-            if not (Ident.equal owner service) then
-              Error (0, "chain belongs to a different service")
-            else
-              let rec go seq prev acc = function
-                | [] -> Ok { owner; rev_entries = acc; length = seq; head = prev }
-                | line :: rest -> (
-                    match String.index_opt line ' ' with
-                    | None -> Error (seq, "malformed record line")
-                    | Some sp -> (
-                        let payload_hex = String.sub line 0 sp in
-                        let hash_hex = String.sub line (sp + 1) (String.length line - sp - 1) in
-                        match string_of_hex payload_hex with
-                        | None -> Error (seq, "payload is not valid hex")
-                        | Some body ->
-                            let expect = chain_hash ~prev body in
-                            if not (String.equal (Sha256.to_hex expect) hash_hex) then
-                              Error (seq, "chain hash mismatch")
-                            else
-                              go (seq + 1) expect
-                                (Imported { payload = body; hash = expect } :: acc)
-                                rest))
-              in
-              go 0 (genesis owner) [] rest)
+let resume ~service buf =
+  match walk buf ~init:() skip with
+  | Error (seq, why, ()) -> Error (seq, why)
+  | Ok (owner, _, _, ()) when not (Ident.equal owner service) ->
+      Error (0, "chain belongs to a different service")
+  | Ok (owner, length, head, ()) -> Ok { owner; buf; length; head }
+
+let verify t =
+  match resume ~service:t.owner t.buf with
+  | Error e -> Error e
+  | Ok r when r.length <> t.length || not (Sha256.equal r.head t.head) ->
+      Error (r.length, "chain does not end at the log head")
+  | Ok r -> Ok r.length
+
+let records t =
+  let keep acc ~seq ~prev ~hash body =
+    match decode ~seq ~prev ~hash body with Some r -> r :: acc | None -> acc
+  in
+  match walk t.buf ~init:[] keep with Ok (_, _, _, acc) | Error (_, _, acc) -> List.rev acc
+
+let find t ~seq = List.find_opt (fun r -> r.seq = seq) (records t)
 
 let tamper s ~byte =
   let n = String.length s in

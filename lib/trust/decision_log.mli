@@ -11,9 +11,17 @@
     Chaining: record [i] stores [prev], the hash of record [i-1] (record 0
     stores a genesis digest derived from the owning service's identifier),
     and [hash = SHA256(prev_raw || payload_i)] where [payload_i] is the
-    canonical {!Oasis_cert.Wire} encoding of the record's fields. The
-    exported textual form ({!export}) can be re-verified offline with
-    {!verify_string} — flipping a single byte anywhere in the export makes
+    canonical {!Oasis_cert.Wire} encoding of the record's fields.
+
+    Storage: the log keeps no record values. It lives in one buffer as its
+    own textual export — a header line naming the service, then one line
+    per record holding the hex payload and the hex chain hash — and every
+    reader ({!records}, {!find}, {!verify}) decodes those lines back with
+    {!Oasis_cert.Codec.fields_of_string}, which inverts the encoding
+    exactly. A service passes in its durable blob, so the chain it resumes
+    after a crash is the same bytes it was appending to, and the typed
+    history survives the crash with it. {!verify_string} re-verifies an
+    export offline — flipping a single byte anywhere in it makes
     verification fail ([oasisctl audit verify --tamper] demonstrates
     this). *)
 
@@ -42,7 +50,9 @@ type record = {
 
 type t
 
-val create : service:Oasis_util.Ident.t -> t
+val create : service:Oasis_util.Ident.t -> Buffer.t -> t
+(** A fresh, empty chain stored in the given buffer: clears it and writes
+    the header line. *)
 
 val append :
   t ->
@@ -57,52 +67,36 @@ val append :
   ?trace_seq:int ->
   unit ->
   record
+(** Appends the record's export line to the buffer and returns the record
+    as {!records} will decode it. *)
 
-val service : t -> Oasis_util.Ident.t
 val length : t -> int
 
 val head : t -> Oasis_crypto.Sha256.digest
 (** Hash of the most recent record (the genesis digest when empty). *)
 
 val records : t -> record list
-(** Oldest first. A chain rebuilt with {!resume} holds its pre-crash prefix
-    only as verified bytes, so [records] returns just the post-resume
-    (typed) records; {!length} still counts the whole chain. *)
-
-val imported_count : t -> int
-(** How many records in the chain are the opaque resumed prefix (0 for a
-    chain that never crossed a crash). *)
+(** Every record, oldest first, decoded from the buffer — including those
+    appended before a crash and {!resume}. Decoding stops at the first line
+    that fails verification, which only a chain resumed without
+    verification (the [fail_open_chain] ablation) can hold. *)
 
 val find : t -> seq:int -> record option
 
 val verify : t -> (int, int * string) result
-(** Recomputes the whole chain from genesis. [Ok n] means all [n] records
-    are intact; [Error (seq, why)] names the first record that fails. *)
+(** Recomputes the whole chain in the buffer from genesis. [Ok n] means
+    all [n] records are intact and the chain ends at {!head};
+    [Error (seq, why)] names the first record that fails. *)
 
 val export : t -> string
-(** Textual chain: a header line naming the service, then one line per
-    record — hex canonical payload and hex chain hash. [prev] is implicit
-    (the previous line's hash). Suitable for writing to a file and
-    re-verifying offline. [export t = export_header t ^ concat of
-    export_line per record], which is what lets services mirror the chain
-    into their durable store incrementally — one {!export_line} per append
-    — instead of rewriting the whole export every time. *)
+(** The buffer's contents: the textual chain, suitable for writing to a
+    file and re-verifying offline. *)
 
-val export_header : t -> string
-(** Just the header line (newline-terminated) — written once when the
-    durable mirror of a chain is created. *)
-
-val export_line : record -> string
-(** One record's export line (newline-terminated) — appended to the durable
-    mirror as the decision is logged. *)
-
-val resume : service:Oasis_util.Ident.t -> string -> (t, int * string) result
-(** Rebuild a chain from its durable export after a crash: verifies every
-    line against the genesis digest for [service] (a chain exported by a
-    different service is rejected outright) and returns a log whose length
-    and head continue exactly where the export stopped. The verified prefix
-    is kept as opaque bytes (the wire encoding is one-way); new appends
-    chain onto it and re-exports reproduce the prefix byte-for-byte.
+val resume : service:Oasis_util.Ident.t -> Buffer.t -> (t, int * string) result
+(** Rebuild a chain from its buffer after a crash: verifies every line
+    against the genesis digest for [service] (a chain exported by a
+    different service is rejected outright) and returns a log on the same
+    buffer whose length and head continue exactly where it stopped.
     [Error (seq, why)] is the fail-closed signal: the durable record was
     tampered with or truncated mid-line, and the service must refuse to
     build on it. *)

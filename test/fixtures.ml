@@ -21,6 +21,13 @@ module Rule = Oasis_policy.Rule
 module Term = Oasis_policy.Term
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
+module Dlog = Oasis_trust.Decision_log
+
+(* A service's granted requests, oldest first, read from its decision log. *)
+let grants svc =
+  List.filter
+    (fun (r : Dlog.record) -> r.decision = Dlog.Grant)
+    (Dlog.records (Service.decision_log svc))
 
 (* Appointment issuance is itself policy (the 'appoint' statements). *)
 let hospital_policy =

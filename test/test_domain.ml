@@ -305,14 +305,14 @@ let test_anonymous_invocation () =
       | Ok _ -> ()
       | Error d -> Alcotest.failf "test denied: %s" (Protocol.denial_to_string d));
   (* The clinic's audit trail knows only the alias. *)
-  let log = Service.audit_log clinic in
+  let log = Fixtures.grants clinic in
   Alcotest.(check bool) "audit has entries" true (List.length log >= 2);
   List.iter
     (fun entry ->
       Alcotest.(check bool) "no real identity in audit" false
-        (Oasis_util.Ident.equal entry.Service.principal (Principal.id member));
+        (Oasis_util.Ident.equal entry.Fixtures.Dlog.principal (Principal.id member));
       Alcotest.(check string) "alias is pseudonymous" "anon"
-        (Oasis_util.Ident.tag entry.Service.principal))
+        (Oasis_util.Ident.tag entry.Fixtures.Dlog.principal))
     log
 
 let test_anonymous_expiry_enforced () =

@@ -201,9 +201,9 @@ let check_invariants f =
     let audited_activations =
       List.length
         (List.filter
-           (fun (e : Service.audit_entry) ->
-             String.length e.Service.action >= 9 && String.sub e.Service.action 0 9 = "activate:")
-           (Service.audit_log f.services.(si)))
+           (fun (e : Fixtures.Dlog.record) ->
+             String.length e.action >= 9 && String.sub e.action 0 9 = "activate:")
+           (Fixtures.grants f.services.(si)))
     in
     if st.Service.activations_granted <> audited_activations then
       Alcotest.failf "I4 violated at svc%d: %d granted vs %d audited" si

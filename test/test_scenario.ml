@@ -275,6 +275,34 @@ let test_extract_reports_policy_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error"
 
+(* The audit trail outlives a crash: after [fault restart] the service's
+   chain still decodes the decision it took first ([oasisctl audit why
+   --seq 0]). *)
+let test_audit_history_after_restart () =
+  let outcome =
+    run
+      {|
+      service clinic {
+        initial member <- env:eq(1, 1) ;
+      }
+      principal ann
+      session ann s
+      activate ann s clinic member expect granted
+      fault crash clinic
+      fault restart clinic
+      session ann t
+      activate ann t clinic member expect granted
+    |}
+  in
+  Alcotest.(check (list string)) "no failures" [] outcome.Scenario.failures;
+  let log = List.assoc "clinic" outcome.Scenario.chains in
+  Alcotest.(check int) "both grants on the chain" 2 (Oasis_trust.Decision_log.length log);
+  match Oasis_trust.Decision_log.find log ~seq:0 with
+  | Some r ->
+      Alcotest.(check string) "first decision" "activate:member" r.action;
+      Alcotest.(check bool) "a grant" true (r.decision = Oasis_trust.Decision_log.Grant)
+  | None -> Alcotest.fail "seq 0 lost across the restart"
+
 let suite =
   ( "scenario",
     [
@@ -291,4 +319,5 @@ let suite =
       Alcotest.test_case "string/bool args" `Quick test_string_and_bool_args;
       Alcotest.test_case "extract policies" `Quick test_extract_policies;
       Alcotest.test_case "extract errors" `Quick test_extract_reports_policy_errors;
+      Alcotest.test_case "audit history after restart" `Quick test_audit_history_after_restart;
     ] )

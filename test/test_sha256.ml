@@ -35,6 +35,27 @@ let test_incremental_equals_oneshot () =
   let gen = QCheck.(list_of_size Gen.(int_bound 8) (string_of_size Gen.(int_bound 200))) in
   QCheck.Test.check_exn (QCheck.Test.make ~count:200 ~name:"incremental = oneshot" gen property)
 
+(* The table-driven hex codec: decode inverts encode, encode matches the
+   per-byte "%02x" spelling, and decode refuses every other spelling. *)
+let test_hex_roundtrip () =
+  let module Hex = Oasis_util.Hex in
+  let spelled s =
+    String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"hex decode . encode = id"
+       QCheck.(pair (string_of_size Gen.(int_bound 64)) small_nat)
+       (fun (s, i) ->
+         let h = Hex.encode s in
+         String.equal h (spelled s)
+         && Hex.decode h = Some s
+         && (h = ""
+            ||
+            let j = i mod String.length h in
+            let bad c = Hex.decode (String.mapi (fun k x -> if k = j then c else x) h) = None in
+            bad 'g' && bad 'A' && bad ' ')
+         && Hex.decode (h ^ "0") = None))
+
 let test_padding_boundaries () =
   (* Lengths straddling the 55/56/64-byte padding edges. *)
   List.iter
@@ -95,6 +116,7 @@ let suite =
       Alcotest.test_case "million a" `Slow test_million_a;
       Alcotest.test_case "incremental = oneshot (qcheck)" `Quick test_incremental_equals_oneshot;
       Alcotest.test_case "padding boundaries" `Quick test_padding_boundaries;
+      Alcotest.test_case "hex round-trip (qcheck)" `Quick test_hex_roundtrip;
       Alcotest.test_case "finalize twice" `Quick test_finalize_twice_raises;
       Alcotest.test_case "feed after finalize" `Quick test_feed_after_finalize_raises;
       Alcotest.test_case "raw string" `Quick test_raw_string;

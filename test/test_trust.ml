@@ -265,7 +265,7 @@ let test_rejection_causes_split () =
 (* ---------------- decision log ---------------- *)
 
 let sample_log n =
-  let log = Dlog.create ~service:(Ident.make "svc" 1) in
+  let log = Dlog.create ~service:(Ident.make "svc" 1) (Buffer.create 256) in
   for i = 0 to n - 1 do
     ignore
       (Dlog.append log ~at:(float_of_int i)
@@ -290,7 +290,7 @@ let test_decision_log_roundtrip () =
       Alcotest.(check string) "rule survives" "priv op(u) <- r(u) ;" r.Dlog.rule
   | None -> Alcotest.fail "seq 7 missing");
   Alcotest.(check bool) "empty log verifies" true
-    (Dlog.verify (Dlog.create ~service:(Ident.make "svc" 2)) = Ok 0)
+    (Dlog.verify (Dlog.create ~service:(Ident.make "svc" 2) (Buffer.create 64)) = Ok 0)
 
 (* ---------------- time-decayed assessment (DESIGN.md §16) ---------------- *)
 
@@ -354,32 +354,31 @@ let test_resume_chain () =
   let owner = Ident.make "svc" 1 in
   let log = sample_log 12 in
   let blob = Buffer.create 512 in
-  Buffer.add_string blob (Dlog.export_header log);
-  List.iter (fun r -> Buffer.add_string blob (Dlog.export_line r)) (Dlog.records log);
-  (match Dlog.resume ~service:owner (Buffer.contents blob) with
+  Buffer.add_string blob (Dlog.export log);
+  (match Dlog.resume ~service:owner blob with
   | Error (seq, why) -> Alcotest.failf "resume failed at %d: %s" seq why
   | Ok resumed ->
       Alcotest.(check int) "length preserved" 12 (Dlog.length resumed);
-      Alcotest.(check int) "prefix is opaque" 12 (Dlog.imported_count resumed);
+      Alcotest.(check bool) "pre-resume records decode" true
+        (Dlog.records resumed = Dlog.records log);
       Alcotest.(check bool) "heads agree" true (Dlog.head resumed = Dlog.head log);
       Alcotest.(check bool) "resumed chain verifies" true (Dlog.verify resumed = Ok 12);
-      (* Appends continue from the verified head, and the incremental
-         export line brings the durable blob along. *)
+      (* Appends continue from the verified head, into the same buffer. *)
       let r =
         Dlog.append resumed ~at:13.0 ~decision:Dlog.Grant ~principal:client
           ~action:"invoke:post-crash" ~args:[] ~rule:"r" ~creds:[] ~env_facts:[] ()
       in
-      Buffer.add_string blob (Dlog.export_line r);
       Alcotest.(check bool) "extended chain verifies" true (Dlog.verify resumed = Ok 13);
-      Alcotest.(check bool) "re-exported blob verifies" true
+      Alcotest.(check bool) "appended into the blob" true
         (Dlog.verify_string (Buffer.contents blob) = Ok 13);
+      Alcotest.(check bool) "appended record decodes" true (Dlog.find resumed ~seq:12 = Some r);
       Alcotest.(check bool) "second resume sees 13" true
-        (match Dlog.resume ~service:owner (Buffer.contents blob) with
+        (match Dlog.resume ~service:owner blob with
         | Ok again -> Dlog.length again = 13 && Dlog.head again = Dlog.head resumed
         | Error _ -> false));
   (* Fail closed: a chain naming some other service must not resume. *)
   Alcotest.(check bool) "wrong owner refused" true
-    (Result.is_error (Dlog.resume ~service:(Ident.make "svc" 2) (Buffer.contents blob)))
+    (Result.is_error (Dlog.resume ~service:(Ident.make "svc" 2) blob))
 
 (* ---------------- qcheck properties ---------------- *)
 
@@ -490,6 +489,50 @@ let test_prop_chain_tamper_detected () =
          Dlog.verify_string exported = Ok n
          && Result.is_error (Dlog.verify_string (Dlog.tamper exported ~byte))))
 
+(* Differential: the records the log decodes from its buffer are exactly
+   the records [append] returned — free-form strings, [;] inside env facts
+   and args, and empty lists included. *)
+let test_prop_records_match_appends () =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; 'z'; ';'; ' '; ','; '('; ')'; '\n'; '#' ]) (int_bound 8) in
+  let ident = map2 Ident.make (oneofl [ "client"; "cert"; "anon" ]) nat in
+  let finite = map (fun i -> float_of_int i /. 8.0) int in
+  let value =
+    oneof
+      [
+        map (fun i -> Value.Int i) int;
+        map (fun s -> Value.Str s) text;
+        map (fun b -> Value.Bool b) bool;
+        map (fun f -> Value.Time f) finite;
+        map (fun i -> Value.Id i) ident;
+      ]
+  in
+  let decision = oneofl Dlog.[ Grant; Deny; Revoke; Suspect; Reconcile ] in
+  let entry =
+    let* at = finite and* decision = decision and* principal = ident and* action = text in
+    let* args = list_size (int_bound 3) value
+    and* rule = text
+    and* creds = list_size (int_bound 3) ident
+    and* env_facts = list_size (int_bound 3) text
+    and* trace_seq = nat in
+    return (at, decision, principal, action, args, rule, creds, env_facts, trace_seq)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"decoded records = appended records"
+       (QCheck.make (list_size (int_bound 12) entry))
+       (fun entries ->
+         let log = Dlog.create ~service:(Ident.make "svc" 1) (Buffer.create 256) in
+         let oracle =
+           List.map
+             (fun (at, decision, principal, action, args, rule, creds, env_facts, trace_seq) ->
+               Dlog.append log ~at ~decision ~principal ~action ~args ~rule ~creds ~env_facts
+                 ~trace_seq ())
+             entries
+         in
+         Dlog.records log = oracle
+         && Dlog.verify log = Ok (List.length oracle)
+         && List.for_all (fun (r : Dlog.record) -> Dlog.find log ~seq:r.seq = Some r) oracle))
+
 let suite =
   ( "trust",
     [
@@ -521,4 +564,5 @@ let suite =
       Alcotest.test_case "dedup idempotent (qcheck)" `Quick test_prop_dedup_idempotent;
       Alcotest.test_case "weight clamped (qcheck)" `Quick test_prop_weight_clamped;
       Alcotest.test_case "chain tamper detected (qcheck)" `Quick test_prop_chain_tamper_detected;
+      Alcotest.test_case "records = appends (qcheck)" `Quick test_prop_records_match_appends;
     ] )

@@ -405,6 +405,49 @@ let test_chain_tamper_fail_closed () =
   | exception Service.Chain_tampered _ -> Alcotest.fail "fail-open ablation must admit");
   Alcotest.(check bool) "ablation resumed" false (Service.is_crashed ablation)
 
+(* The decision chain has one store: the log's export is the durable blob
+   byte for byte at every point, and the typed history — decisions taken
+   before any number of crash/restart cycles included — decodes back from
+   it. *)
+let test_chain_history_survives_restarts () =
+  let world = World.create () in
+  let svc = Service.create world ~name:"svc" ~policy:"initial r <- env:eq(1, 1);" () in
+  let p = Principal.create world ~name:"p" in
+  let key = "dlog:" ^ Ident.to_string (Service.id svc) in
+  let blob_is_export what =
+    Alcotest.(check (option string))
+      ("export = durable blob " ^ what)
+      (Some (Dlog.export (Service.decision_log svc)))
+      (Durable.get (World.durable world) key)
+  in
+  let activate () =
+    World.run_proc world (fun () ->
+        let s = Principal.start_session p in
+        match Principal.activate p s svc ~role:"r" () with
+        | Ok _ -> ()
+        | Error d -> Alcotest.failf "activate: %s" (Protocol.denial_to_string d));
+    blob_is_export "after a decision"
+  in
+  blob_is_export "at creation";
+  activate ();
+  let first = Dlog.records (Service.decision_log svc) in
+  Alcotest.(check bool) "a decision before any crash" true (first <> []);
+  for _ = 1 to 3 do
+    Service.crash svc;
+    blob_is_export "after crash";
+    Service.restart svc;
+    blob_is_export "after restart";
+    activate ()
+  done;
+  let log = Service.decision_log svc in
+  let all = Dlog.records log in
+  Alcotest.(check int) "every decision decodes" (Dlog.length log) (List.length all);
+  Alcotest.(check bool) "pre-crash decisions come back" true
+    (List.filteri (fun i _ -> i < List.length first) all = first);
+  Alcotest.(check bool) "find ~seq:0 is the first decision" true
+    (Dlog.find log ~seq:0 = Some (List.hd first));
+  Alcotest.(check bool) "chain verifies" true (Dlog.verify log = Ok (Dlog.length log))
+
 let suite =
   ( "world",
     [
@@ -418,6 +461,8 @@ let suite =
       Alcotest.test_case "node refuses non-challenge" `Quick
         test_principal_node_rejects_non_challenge;
       Alcotest.test_case "civ audit extension" `Quick test_civ_audit_extension;
+      Alcotest.test_case "chain history survives restarts" `Quick
+        test_chain_history_survives_restarts;
       Alcotest.test_case "remote predicate" `Quick test_remote_predicate;
       Alcotest.test_case "hour-window deactivation" `Quick test_hour_window_role_expires;
       Alcotest.test_case "hysteresis band holds" `Quick test_hysteresis_band;
