@@ -29,8 +29,6 @@ module Churn = Oasis_script.Churn
 module Rbac96 = Oasis_baseline.Rbac96
 module Delegation = Oasis_baseline.Delegation
 module Acl = Oasis_baseline.Acl
-module Network = Oasis_sim.Network
-module Broker = Oasis_event.Broker
 module Env = Oasis_policy.Env
 module Rule = Oasis_policy.Rule
 module Term = Oasis_policy.Term
@@ -53,6 +51,20 @@ let header title =
 let ok = function
   | Ok v -> v
   | Error d -> failwith ("unexpected denial: " ^ Protocol.denial_to_string d)
+
+(* A service's counter in its world's registry ([service.*] and the other
+   [service=<name>]-labelled keys), and the same key read from a diff. *)
+let svc_count svc name =
+  Obs.read (World.obs (Service.world svc)) ~labels:[ ("service", Service.service_name svc) ] name
+
+let svc_delta d svc name = Obs.delta d ~labels:[ ("service", Service.service_name svc) ] name
+
+(* Validations a CIV cluster answered, summed over its replicas. *)
+let civ_served world civ =
+  List.init (Civ.replica_count civ) (fun i ->
+      Obs.read (World.obs world) "civ.validations_served"
+        ~labels:[ ("civ", Civ.civ_name civ); ("replica", string_of_int i) ])
+  |> List.fold_left ( + ) 0
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel helper: run a set of wall-clock microbenchmarks and print
@@ -108,25 +120,23 @@ let e1 () =
       let world = World.create ~seed:1 ~net_latency:0.001 () in
       let services = build_chain world depth in
       let p = Principal.create world ~name:"p" in
-      let net = World.network world in
+      let obs = World.obs world in
       let session = Principal.start_session p in
       World.run_proc world (fun () ->
           for i = 0 to depth - 1 do
             ignore
               (ok (Principal.activate p session services.(i) ~role:(Printf.sprintf "r%d" i) ()))
           done);
-      let total_before = (Network.stats net).Network.sent in
-      Network.reset_stats net;
+      let before = Obs.snapshot obs in
       let t0 = World.now world in
       World.run_proc world (fun () ->
           ignore
             (ok
                (Principal.activate p session services.(depth) ~role:(Printf.sprintf "r%d" depth) ())));
       let dt = (World.now world -. t0) *. 1000.0 in
-      let last = Network.stats net in
-      Printf.printf "  %5d | %19.1f | %14d | %12d | %16d\n" depth dt last.Network.sent
-        last.Network.bytes_sent
-        (total_before + last.Network.sent))
+      let last = Obs.diff before (Obs.snapshot obs) in
+      Printf.printf "  %5d | %19.1f | %14d | %12d | %16d\n" depth dt (Obs.delta last "net.sent")
+        (Obs.delta last "net.bytes_sent") (Obs.read obs "net.sent"))
     [ 1; 2; 4; 8; 16; 32 ];
   Printf.printf
     "\n  ablation: selective presentation (only the needed prerequisite RMC)\n";
@@ -137,7 +147,7 @@ let e1 () =
       let world = World.create ~seed:1 ~net_latency:0.001 () in
       let services = build_chain world depth in
       let p = Principal.create world ~name:"p" in
-      let net = World.network world in
+      let obs = World.obs world in
       let session = Principal.start_session p in
       let selective i =
         (* Present exactly the prerequisite credential the rule needs. *)
@@ -161,13 +171,12 @@ let e1 () =
       for i = 0 to depth - 1 do
         selective i
       done;
-      let total_before = (Network.stats net).Network.sent in
-      Network.reset_stats net;
+      let before = Obs.snapshot obs in
       let t0 = World.now world in
       selective depth;
       let dt = (World.now world -. t0) *. 1000.0 in
-      let last_msgs = (Network.stats net).Network.sent in
-      Printf.printf "  %5d | %19.1f | %14d | %18d\n" depth dt last_msgs (total_before + last_msgs))
+      let last_msgs = Obs.delta (Obs.diff before (Obs.snapshot obs)) "net.sent" in
+      Printf.printf "  %5d | %19.1f | %14d | %18d\n" depth dt last_msgs (Obs.read obs "net.sent"))
     [ 1; 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -349,10 +358,9 @@ let e3 () =
   List.iter
     (fun caching ->
       let world, ehr, carol, session = e3_world ~caching in
-      let net = World.network world in
+      let obs = World.obs world in
       for call = 1 to 5 do
-        Network.reset_stats net;
-        let cb_before = (Service.stats ehr).Service.callbacks_out in
+        let before = Obs.snapshot obs in
         let t0 = World.now world in
         World.run_proc world (fun () ->
             ignore
@@ -360,12 +368,12 @@ let e3 () =
                  (Principal.invoke carol session ehr ~privilege:"request_ehr"
                     ~args:[ Value.Id (Principal.id carol); Value.Int 1 ])));
         let dt = (World.now world -. t0) *. 1000.0 in
-        let st = Network.stats net in
-        let cb = (Service.stats ehr).Service.callbacks_out - cb_before in
+        let d = Obs.diff before (Obs.snapshot obs) in
         if call <= 2 || call = 5 then
           Printf.printf "  %-10s | %6d | %10.1f | %12d | %10d | %13d\n"
             (if caching then "cached" else "uncached")
-            call dt st.Network.sent st.Network.bytes_sent cb
+            call dt (Obs.delta d "net.sent") (Obs.delta d "net.bytes_sent")
+            (svc_delta d ehr "service.callbacks_out")
       done)
     [ false; true ]
 
@@ -479,9 +487,8 @@ let e5 () =
     let p = Principal.create world ~name:"p" in
     let session = activate_tree world nodes p in
     let roles = tree_alive nodes in
-    let broker = World.broker world in
-    Broker.reset_stats broker;
-    Network.reset_stats (World.network world);
+    let obs = World.obs world in
+    let before = Obs.snapshot obs in
     let _, root, _ = List.find (fun (name, _, _) -> name = "troot") nodes in
     let root_rmc =
       List.find
@@ -498,10 +505,9 @@ let e5 () =
     drive ();
     let dt = (World.now world -. t0) *. 1000.0 in
     World.settle world;
-    let stats = Broker.stats broker in
+    let d = Obs.diff before (Obs.snapshot obs) in
     Printf.printf "  %5d %6d %6d | %18.1f | %13d | %10d\n" depth fanout roles dt
-      stats.Broker.notified
-      (Network.stats (World.network world)).Network.sent;
+      (Obs.delta d "broker.notified") (Obs.delta d "net.sent");
     assert (tree_alive nodes = 0)
   in
   List.iter
@@ -519,10 +525,10 @@ let e5 () =
         for i = 0 to 4 do
           ignore (ok (Principal.activate p session services.(i) ~role:(Printf.sprintf "r%d" i) ()))
         done);
-    let broker = World.broker world in
-    Broker.reset_stats broker;
+    let obs = World.obs world in
+    let before = Obs.snapshot obs in
     World.run_until world (World.now world +. 60.0);
-    let steady = (Broker.stats broker).Broker.published in
+    let steady = Obs.delta (Obs.diff before (Obs.snapshot obs)) "broker.published" in
     let root_rmc = List.find (fun (r : Rmc.t) -> r.role = "r0") (Principal.session_rmcs session) in
     let t0 = World.now world in
     ignore (Service.revoke_certificate services.(0) root_rmc.Rmc.id ~reason:"x");
@@ -639,11 +645,11 @@ let e7 () =
     World.settle world;
     let counts =
       List.init 5 (fun _ ->
-          let before = (Service.stats host).Service.callbacks_out in
+          let before = svc_count host "service.callbacks_out" in
           World.run_proc world (fun () ->
               let s = Principal.start_session doctor in
               ignore (ok (Principal.activate doctor s host ~role:"visiting" ())));
-          (Service.stats host).Service.callbacks_out - before)
+          svc_count host "service.callbacks_out" - before)
     in
     (List.nth counts 0, List.nth counts 4)
   in
@@ -661,12 +667,12 @@ let e7 () =
     Anonymity.enroll ~civ:(Domain.civ insurer) ~member ~scheme:"insured" ~expires_at:1e6
   in
   World.settle world;
-  let before = (Service.stats clinic).Service.callbacks_out in
+  let before = svc_count clinic "service.callbacks_out" in
   World.run_proc world (fun () ->
       let s = Principal.start_session member in
       ignore (ok (Anonymity.activate_anonymously member s clinic ~role:"patient" membership)));
   Printf.printf "  %-34s | %16d | %16s\n" "anonymous member at clinic"
-    ((Service.stats clinic).Service.callbacks_out - before)
+    (svc_count clinic "service.callbacks_out" - before)
     "-"
 
 (* ------------------------------------------------------------------ *)
@@ -715,6 +721,24 @@ let e8 () =
    iteration, so `make check` can prove the bench binary still runs without
    paying for a full measurement campaign. *)
 let smoke_mode = ref false
+
+(* Full runs write their BENCH_*.json into the working directory (the
+   repository root under `dune exec`), where the committed results live.
+   Smoke runs write under _build/bench-smoke/ instead, so `make check`
+   never overwrites a committed full run. Returns the channel and the path
+   written. *)
+let open_result name =
+  let path =
+    if !smoke_mode then begin
+      let dir = Filename.concat "_build" "bench-smoke" in
+      List.iter
+        (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+        [ "_build"; dir ];
+      Filename.concat dir name
+    end
+    else name
+  in
+  (open_out path, path)
 
 (* The active-security hot path: every fact change used to re-scan the
    watch lists of every RMC the service had ever issued. The reverse index
@@ -767,31 +791,20 @@ let e9 () =
     (* Flip a sentinel tuple that matches no watcher's ground constraint:
        every change notification pays the propagation cost but deactivates
        nothing, so the same population is re-measured across predicates. *)
+    let obs = World.obs world in
     let measure pred =
-      Array.iter Service.reset_stats services;
+      let before = Obs.snapshot obs in
       let t0 = Sys.time () in
       for _ = 1 to flips do
         Env.assert_fact env pred [ Value.Int (-1) ];
         Env.retract_fact env pred [ Value.Int (-1) ]
       done;
       let seconds = Sys.time () -. t0 in
-      (* The reported row comes from the shared Obs registry; the legacy
-         [Service.stats] view is the same counter, so the two must agree
-         exactly — any drift means a module bypassed the registry. *)
-      let obs = World.obs world in
-      let rechecks = ref 0 in
-      Array.iteri
-        (fun i s ->
-          let key = Printf.sprintf "service.env_rechecks{service=churn%d}" i in
-          let from_registry =
-            match Obs.value obs key with
-            | Some v -> int_of_float v
-            | None -> failwith ("E9: metric missing from registry: " ^ key)
-          in
-          assert (from_registry = (Service.stats s).Service.env_rechecks);
-          rechecks := !rechecks + from_registry)
-        services;
-      (!rechecks, seconds)
+      let d = Obs.diff before (Obs.snapshot obs) in
+      let rechecks =
+        Array.fold_left (fun acc s -> acc + svc_delta d s "service.env_rechecks") 0 services
+      in
+      (rechecks, seconds)
     in
     let idle_rechecks, idle_s = measure "idle" in
     let hot_rechecks, hot_s = measure "hot" in
@@ -826,7 +839,7 @@ let e9 () =
           [ false; true ])
       sizes
   in
-  let out = open_out "BENCH_active_security.json" in
+  let out, path = open_result "BENCH_active_security.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"env_churn_active_security\",\n\
@@ -838,7 +851,7 @@ let e9 () =
     services_n hot_watchers flips smoke
     (String.concat ",\n" rows);
   close_out out;
-  Printf.printf "\n  results written to BENCH_active_security.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E11 — the trace pipeline: Fig. 5 causal order and tracing overhead  *)
@@ -927,7 +940,7 @@ let e11 () =
   in
   row "null" 0 null_s;
   row "memory-sink" (List.length events) sink_s;
-  let out = open_out "BENCH_trace.json" in
+  let out, path = open_result "BENCH_trace.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"trace_pipeline\",\n\
@@ -944,7 +957,7 @@ let e11 () =
     flips smoke change_seq recheck_seq revoke_seq (count "env.change") (count "svc.recheck")
     (count "svc.revoke") (List.length events) null_s (List.length events) sink_s;
   close_out out;
-  Printf.printf "\n  results written to BENCH_trace.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E12 — fault tolerance: re-validation storms and propagation latency *)
@@ -1019,12 +1032,10 @@ let e12 () =
     assert (Service.suspect_count relying = n_roles);
     (* Let the pollers hammer the dead link for a fixed window, then heal. *)
     World.run_until world (World.now world +. 2.0);
-    let retries_at key =
-      match Obs.value (World.obs world) key with Some v -> int_of_float v | None -> 0
-    in
-    let wasted_retries = retries_at "rpc.retries{site=reconcile}" in
-    let wasted_drops = List.assoc "partitioned" (Network.dropped_by_cause (World.network world)) in
-    let rpcs_before = (Network.stats (World.network world)).Network.rpcs in
+    let obs = World.obs world in
+    let wasted_retries = Obs.read obs ~labels:[ ("site", "reconcile") ] "rpc.retries" in
+    let wasted_drops = Obs.read obs ~labels:[ ("cause", "partitioned") ] "net.dropped" in
+    let rpcs_before = Obs.read obs "net.rpcs" in
     Fault.heal (World.fault world) "wan";
     let healed_at = World.now world in
     let deadline = healed_at +. 60.0 in
@@ -1032,9 +1043,12 @@ let e12 () =
       World.run_until world (World.now world +. 0.05)
     done;
     assert (Service.suspect_count relying = 0);
-    assert ((Service.stats relying).Service.reconciled_reinstated = n_roles);
+    assert (
+      Obs.read obs "svc.reconciled"
+        ~labels:[ ("outcome", "reinstated"); ("service", Service.service_name relying) ]
+      = n_roles);
     let drain_s = World.now world -. healed_at in
-    let status_rpcs = (Network.stats (World.network world)).Network.rpcs - rpcs_before in
+    let status_rpcs = Obs.read obs "net.rpcs" - rpcs_before in
     (wasted_retries, wasted_drops, status_rpcs, drain_s)
   in
 
@@ -1124,7 +1138,7 @@ let e12 () =
         Printf.sprintf "    { \"case\": %S, \"latency_seconds\": %.4f }" case l)
       cases
   in
-  let out = open_out "BENCH_fault.json" in
+  let out, path = open_result "BENCH_fault.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"fault_tolerance\",\n\
@@ -1139,7 +1153,7 @@ let e12 () =
     (String.concat ",\n" storm_rows)
     (String.concat ",\n" latency_rows);
   close_out out;
-  Printf.printf "\n  results written to BENCH_fault.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E13 — offline-verifiable signed credentials: RPCs and latency       *)
@@ -1202,11 +1216,9 @@ let e13 () =
       World.settle world;
       latency := !latency +. (World.now world -. t0)
     done;
-    let st = Service.stats hospital in
-    let civ_rpcs = Array.fold_left ( + ) 0 (Civ.stats civ).Civ.validations_served in
-    ( st.Service.callbacks_out,
-      civ_rpcs,
-      st.Service.offline_validations,
+    ( svc_count hospital "service.callbacks_out",
+      civ_served world civ,
+      svc_count hospital "service.offline_validations",
       !latency /. float_of_int n_principals )
   in
 
@@ -1240,16 +1252,11 @@ let e13 () =
       World.settle world;
       latency := !latency +. (World.now world -. t0)
     done;
-    let callbacks =
-      Array.fold_left (fun acc svc -> acc + (Service.stats svc).Service.callbacks_out) 0 services
-    in
-    let offline_checks =
-      Array.fold_left
-        (fun acc svc -> acc + (Service.stats svc).Service.offline_validations)
-        0 services
-    in
-    let civ_rpcs = Array.fold_left ( + ) 0 (Civ.stats civ).Civ.validations_served in
-    (callbacks, civ_rpcs, offline_checks, !latency /. float_of_int !activations)
+    let sum key = Array.fold_left (fun acc svc -> acc + svc_count svc key) 0 services in
+    ( sum "service.callbacks_out",
+      civ_served world civ,
+      sum "service.offline_validations",
+      !latency /. float_of_int !activations )
   in
 
   Printf.printf "  %d principals; storm fan-out %d services\n\n" n_principals n_services;
@@ -1274,7 +1281,7 @@ let e13 () =
           [ false; true ])
       [ ("hospital", hospital); ("storm", storm) ]
   in
-  let out = open_out "BENCH_signed.json" in
+  let out, path = open_result "BENCH_signed.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"signed_credentials\",\n\
@@ -1286,7 +1293,7 @@ let e13 () =
     n_principals n_services smoke
     (String.concat ",\n" rows);
   close_out out;
-  Printf.printf "\n  results written to BENCH_signed.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E15 — engine/storage scale curve (DESIGN.md §14)                    *)
@@ -1493,7 +1500,7 @@ let e15 () =
   let churn_total, churn_ops, churn_heap, churn_pending =
     timer_churn (if smoke then 10_000 else 1_000_000)
   in
-  let out = open_out "BENCH_scale.json" in
+  let out, path = open_result "BENCH_scale.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"scale_curve\",\n\
@@ -1509,7 +1516,7 @@ let e15 () =
     (String.concat ",\n" rows)
     churn_total churn_ops churn_heap churn_pending;
   close_out out;
-  Printf.printf "\n  results written to BENCH_scale.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E16 — trust: score-gated revocation, collusion ablation, chain scale *)
@@ -1695,7 +1702,7 @@ let e16 () =
   Printf.printf "  %-28s | %12.4f\n" "verify (textual export)" reverify_s;
   Printf.printf "  tamper drill: %d single-bit flips, all detected\n" (List.length tamper_checks);
 
-  let out = open_out "BENCH_trust.json" in
+  let out, path = open_result "BENCH_trust.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"trust_audit\",\n\
@@ -1721,7 +1728,7 @@ let e16 () =
     verdict.Assess.score verdict.Assess.proceed n append_s verify_s reverify_s
     (List.length tamper_checks) caught;
   close_out out;
-  Printf.printf "\n  results written to BENCH_trust.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* E17 — trust robustness: O(1) decayed scoring, hysteresis, churn     *)
@@ -1860,7 +1867,7 @@ let e17 () =
      restarts, %d grants, 0 violations\n"
     n_seeds steps interactions mid_crashes gate_restarts grants;
 
-  let out = open_out "BENCH_trust_decay.json" in
+  let out, path = open_result "BENCH_trust_decay.json" in
   Printf.fprintf out
     "{\n\
     \  \"benchmark\": \"trust_decay\",\n\
@@ -1886,7 +1893,7 @@ let e17 () =
     banded_deacts flappy_deacts suppressed tampered_closed detected admitted n_seeds steps
     interactions mid_crashes gate_restarts grants (violations banded);
   close_out out;
-  Printf.printf "\n  results written to BENCH_trust_decay.json\n"
+  Printf.printf "\n  results written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 

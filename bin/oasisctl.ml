@@ -394,9 +394,9 @@ let cascade depth fanout heartbeats period deadline seed =
   Printf.printf "collapse completed in %.3f virtual seconds (%s monitoring)\n"
     (World.now world -. t0)
     (if heartbeats then Printf.sprintf "heartbeat %.1fs/%.1fs" period deadline else "change-event");
-  let stats = Oasis_event.Broker.stats (World.broker world) in
+  let obs = World.obs world in
   Printf.printf "event-channel traffic: %d published, %d notifications delivered\n"
-    stats.Oasis_event.Broker.published stats.Oasis_event.Broker.notified
+    (Oasis_obs.Obs.read obs "broker.published") (Oasis_obs.Obs.read obs "broker.notified")
 
 let cascade_cmd =
   let depth =

@@ -19,6 +19,8 @@ module Anonymity = Oasis_domain.Anonymity
 module Value = Oasis_util.Value
 module Ident = Oasis_util.Ident
 module Dlog = Oasis_trust.Decision_log
+module Civ = Oasis_domain.Civ
+module Obs = Oasis_obs.Obs
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -76,7 +78,11 @@ let () =
     (Dlog.records (Service.decision_log clinic));
   Printf.printf
     "  insurer: validated one membership card (%d validation(s) served), learned nothing else\n"
-    (Array.fold_left ( + ) 0 (Oasis_domain.Civ.stats (Domain.civ insurer)).Oasis_domain.Civ.validations_served);
+    (let civ = Domain.civ insurer in
+     List.init (Civ.replica_count civ) (fun i ->
+         Obs.read (World.obs world) "civ.validations_served"
+           ~labels:[ ("civ", Civ.civ_name civ); ("replica", string_of_int i) ])
+     |> List.fold_left ( + ) 0);
 
   banner "After the scheme lapses";
   World.run_until world 5001.0;

@@ -21,7 +21,7 @@ module Sla = Oasis_domain.Sla
 module Env = Oasis_policy.Env
 module Term = Oasis_policy.Term
 module Value = Oasis_util.Value
-module Network = Oasis_sim.Network
+module Obs = Oasis_obs.Obs
 module Dlog = Oasis_trust.Decision_log
 
 let banner title = Printf.printf "\n=== %s ===\n" title
@@ -184,7 +184,7 @@ let () =
         [ "logged_in"; "doctor"; "treating_doctor" ]);
 
   banner "Paths 1-2: request-EHR across domains";
-  Network.reset_stats (World.network world);
+  let before = Obs.snapshot (World.obs world) in
   World.run_proc world (fun () ->
       match
         Principal.invoke carol session ehr_service ~privilege:"request_ehr"
@@ -193,9 +193,9 @@ let () =
       | Ok (Some (Value.Str record)) -> Printf.printf "  copy of EHR for patient 1005: %s\n" record
       | Ok _ -> Printf.printf "  (no record)\n"
       | Error d -> Printf.printf "  DENIED: %s\n" (Protocol.denial_to_string d));
-  let s1 = Network.stats (World.network world) in
+  let chain = Obs.diff before (Obs.snapshot (World.obs world)) in
   Printf.printf "  network messages for the full chain: %d (incl. validation callbacks)\n"
-    s1.Network.sent;
+    (Obs.delta chain "net.sent");
 
   banner "Paths 3-4: append-to-EHR after treatment";
   World.run_proc world (fun () ->

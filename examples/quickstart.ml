@@ -13,6 +13,7 @@ module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
+module Obs = Oasis_obs.Obs
 
 let step fmt = Printf.printf ("\n== " ^^ fmt ^^ "\n")
 
@@ -98,9 +99,10 @@ let () =
         (Principal.invoke ada session library ~privilege:"borrow"
            ~args:[ Value.Id (Principal.id ada); Value.Str "Middleware 2001" ]));
 
-  let st = Service.stats library in
+  let labels = [ ("service", Service.service_name library) ] in
+  let n key = Obs.read (World.obs world) ~labels ("service." ^ key) in
   step "Service statistics";
   Printf.printf
     "   activations granted/denied: %d/%d\n   invocations granted/denied: %d/%d\n   cascade deactivations: %d\n"
-    st.Service.activations_granted st.Service.activations_denied st.Service.invocations_granted
-    st.Service.invocations_denied st.Service.cascade_deactivations
+    (n "activations_granted") (n "activations_denied") (n "invocations_granted")
+    (n "invocations_denied") (n "cascade_deactivations")

@@ -19,6 +19,7 @@ module Civ = Oasis_domain.Civ
 module Sla = Oasis_domain.Sla
 module Term = Oasis_policy.Term
 module Value = Oasis_util.Value
+module Obs = Oasis_obs.Obs
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -110,10 +111,13 @@ let () =
       attempt "read trial data (as visiting doctor)"
         (Principal.invoke jones session institute_portal ~privilege:"read_trial_data"
            ~args:[ Value.Id (Principal.id jones) ]));
-  let hv = Civ.stats (Domain.civ hospital) in
+  let hv = Domain.civ hospital in
   Printf.printf
     "  (the institute validated the certificate by callback: %d validations served at the hospital CIV)\n"
-    (Array.fold_left ( + ) 0 hv.Civ.validations_served);
+    (List.init (Civ.replica_count hv) (fun i ->
+         Obs.read (World.obs world) "civ.validations_served"
+           ~labels:[ ("civ", Civ.civ_name hv); ("replica", string_of_int i) ])
+    |> List.fold_left ( + ) 0);
 
   banner "The reciprocal direction";
   let smith = Principal.create world ~name:"researcher-smith" in

@@ -52,14 +52,7 @@ val drop : t -> Oasis_util.Ident.t -> unit
 
 val clear : t -> unit
 
-type stats = {
-  hits : int;  (** positive-verdict cache hits *)
-  negative_hits : int;  (** callbacks suppressed by a cached invalidation *)
-  misses : int;
-  invalidations : int;
-  entries : int;  (** positive entries currently cached *)
-  negative_entries : int;  (** invalidated certificates remembered *)
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit
+val occupancy : t -> int * int
+(** [(positive, negative)]: certificates currently cached as valid, and
+    invalidated certificates remembered. Counted by a walk of the table on
+    each call; the hit/miss/invalidation totals live in the registry. *)

@@ -110,8 +110,8 @@ type issued_appt = {
 }
 
 (* Per-service counters in the world's registry, labelled
-   [service=<name>] — e.g. [service.env_rechecks{service=hospital}]. The
-   public [stats] record below is a view over them. *)
+   [service=<name>] — e.g. [service.env_rechecks{service=hospital}];
+   DESIGN.md §10 lists every key. *)
 type counters = {
   activations_granted : Obs.Counter.t;
   activations_denied : Obs.Counter.t;
@@ -134,27 +134,6 @@ type counters = {
   flaps_suppressed : Obs.Counter.t;
   audit_records : (Dlog.decision, Obs.Counter.t) Hashtbl.t;
       (* audit.records by decision kind, resolved on first use *)
-}
-
-type stats = {
-  activations_granted : int;
-  activations_denied : int;
-  invocations_granted : int;
-  invocations_denied : int;
-  appointments_granted : int;
-  appointments_denied : int;
-  callbacks_in : int;
-  callbacks_out : int;
-  offline_validations : int;
-  validation_failures : int;
-  revocations : int;
-  cascade_deactivations : int;
-  env_rechecks : int;
-  suspects : int;
-  reconciled_reinstated : int;
-  reconciled_revoked : int;
-  flaps_suppressed : int;
-  cache : Vcache.stats;
 }
 
 type t = {
@@ -1736,44 +1715,4 @@ let privileges_defined t =
 
 let decision_log t = t.dlog
 
-let stats t =
-  {
-    activations_granted = Obs.Counter.value t.st.activations_granted;
-    activations_denied = Obs.Counter.value t.st.activations_denied;
-    invocations_granted = Obs.Counter.value t.st.invocations_granted;
-    invocations_denied = Obs.Counter.value t.st.invocations_denied;
-    appointments_granted = Obs.Counter.value t.st.appointments_granted;
-    appointments_denied = Obs.Counter.value t.st.appointments_denied;
-    callbacks_in = Obs.Counter.value t.st.callbacks_in;
-    callbacks_out = Obs.Counter.value t.st.callbacks_out;
-    offline_validations = Obs.Counter.value t.st.offline_validations;
-    validation_failures = Obs.Counter.value t.st.validation_failures;
-    revocations = Obs.Counter.value t.st.revocations;
-    cascade_deactivations = Obs.Counter.value t.st.cascade_deactivations;
-    env_rechecks = Obs.Counter.value t.st.env_rechecks;
-    suspects = Obs.Counter.value t.st.suspects;
-    reconciled_reinstated = Obs.Counter.value t.st.reconciled_reinstated;
-    reconciled_revoked = Obs.Counter.value t.st.reconciled_revoked;
-    flaps_suppressed = Obs.Counter.value t.st.flaps_suppressed;
-    cache = Vcache.stats t.cache;
-  }
-
-let reset_stats t =
-  Obs.Counter.reset t.st.activations_granted;
-  Obs.Counter.reset t.st.activations_denied;
-  Obs.Counter.reset t.st.invocations_granted;
-  Obs.Counter.reset t.st.invocations_denied;
-  Obs.Counter.reset t.st.appointments_granted;
-  Obs.Counter.reset t.st.appointments_denied;
-  Obs.Counter.reset t.st.callbacks_in;
-  Obs.Counter.reset t.st.callbacks_out;
-  Obs.Counter.reset t.st.offline_validations;
-  Obs.Counter.reset t.st.validation_failures;
-  Obs.Counter.reset t.st.revocations;
-  Obs.Counter.reset t.st.cascade_deactivations;
-  Obs.Counter.reset t.st.env_rechecks;
-  Obs.Counter.reset t.st.suspects;
-  Obs.Counter.reset t.st.reconciled_reinstated;
-  Obs.Counter.reset t.st.reconciled_revoked;
-  Obs.Counter.reset t.st.flaps_suppressed;
-  Vcache.reset_stats t.cache
+let cache_occupancy t = Vcache.occupancy t.cache

@@ -228,7 +228,7 @@ val env_watcher_count : t -> string -> int
 val issuer_watcher_count : t -> Oasis_util.Ident.t -> int
 (** How many issued RMCs currently hold a dependency on a credential of the
     given remote issuer, read from the reverse index the unreachable-issuer
-    sweep uses ({!val-stats}: suspects): cost of that sweep is this count,
+    sweep uses ([svc.suspect]): cost of that sweep is this count,
     not the size of the RMC table. *)
 
 val roles_defined : t -> string list
@@ -244,37 +244,8 @@ val decision_log : t -> Oasis_trust.Decision_log.t
     the world's durable store under ["dlog:<sid>"], so its records survive
     {!crash} and {!restart}. Surfaced by [oasisctl audit]. *)
 
-type stats = {
-  activations_granted : int;
-  activations_denied : int;
-  invocations_granted : int;
-  invocations_denied : int;
-  appointments_granted : int;
-  appointments_denied : int;
-  callbacks_in : int;  (** validation requests answered as issuer *)
-  callbacks_out : int;  (** validation requests made about remote certificates *)
-  offline_validations : int;
-      (** remote credentials checked locally against an issuer chain —
-          presentations that under the legacy path would each have been a
-          [callbacks_out] RPC *)
-  validation_failures : int;  (** presented credentials dropped as invalid *)
-  revocations : int;  (** credential records invalidated here *)
-  cascade_deactivations : int;  (** revocations triggered by monitoring, not administration *)
-  env_rechecks : int;
-      (** RMCs whose membership constraints were re-examined because a fact
-          changed; with indexing on this counts only watchers of the changed
-          predicate *)
-  suspects : int;  (** roles that entered suspect state ([svc.suspect{service=..}]) *)
-  reconciled_reinstated : int;
-      (** suspect roles reconciliation re-validated and kept active *)
-  reconciled_revoked : int;
-      (** suspect roles reconciliation confirmed revoked and deactivated *)
-  flaps_suppressed : int;
-      (** membership re-checks that failed the grant condition but survived
-          inside a hysteresis band ([trust.flaps_suppressed{service=..}]) —
-          each one is a revocation the gate's band absorbed *)
-  cache : Oasis_cert.Validation_cache.stats;
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit
+val cache_occupancy : t -> int * int
+(** {!Oasis_cert.Validation_cache.occupancy} of this service's cache of
+    remote validation verdicts. Its counters, like every other count this
+    service keeps, are read from the world's registry under the
+    [service=<name>] label (DESIGN.md §10). *)

@@ -24,7 +24,7 @@ type replica = {
   (* Replica 0 (the primary) reads the authoritative store; others read
      this replicated validity table. *)
   validity : bool Ident.Tbl.t;
-  mutable served : int;
+  served : Obs.Counter.t;  (* civ.validations_served{civ=..,replica=<index>} *)
 }
 
 type t = {
@@ -89,7 +89,7 @@ let primary_view t cert_id =
   match Cr.find t.crs cert_id with Some record -> Cr.is_valid record | None -> false
 
 let replica_validate t replica (appt : Appointment.t) =
-  replica.served <- replica.served + 1;
+  Obs.Counter.inc replica.served;
   signature_ok t appt
   &&
   if replica.index = 0 then primary_view t appt.id
@@ -215,7 +215,9 @@ let create world ~name ?(replicas = 3) ?(replication = Async) ?(offline_sign = t
               node = World.fresh_service_id world;
               index;
               validity = Ident.Tbl.create 64;
-              served = 0;
+              served =
+                Obs.counter (World.obs world) "civ.validations_served"
+                  ~labels:[ ("civ", name); ("replica", string_of_int index) ];
             });
       beats = Ident.Tbl.create 16;
       rr = 0;
@@ -408,22 +410,3 @@ let replica_view t i cert_id =
     | None -> false
 
 let set_replica_down t i down = Network.set_down (World.network t.world) t.replicas.(i).node down
-
-type stats = {
-  validations_served : int array;
-  forwarded_to_primary : int;
-  issues : int;
-  revocations : int;
-  failovers : int;
-  exhausted : int;
-}
-
-let stats t =
-  {
-    validations_served = Array.map (fun r -> r.served) t.replicas;
-    forwarded_to_primary = Obs.Counter.value t.c_forwarded;
-    issues = Obs.Counter.value t.c_issues;
-    revocations = Obs.Counter.value t.c_revocations;
-    failovers = Obs.Counter.value t.c_failovers;
-    exhausted = Obs.Counter.value t.c_exhausted;
-  }

@@ -40,7 +40,10 @@ val create :
     enrols a Schnorr issuing key with the world's domain root and signs
     appointments offline-verifiably (DESIGN.md §12); relying services with
     [offline_verify] then validate them with zero RPCs to the cluster. Off
-    restores epoch-HMAC signing, where every check is a replica callback. *)
+    restores epoch-HMAC signing, where every check is a replica callback.
+    The cluster's counters live in the world's registry under [civ.*] with
+    label [civ=<name>]; validations answered are counted per replica as
+    [civ.validations_served{civ=<name>,replica=<i>}] (DESIGN.md §10). *)
 
 val replication : t -> replication
 
@@ -137,14 +140,3 @@ val validate_audit : t -> Oasis_trust.Audit.t -> bool
 
 val set_replica_down : t -> int -> bool -> unit
 (** Replica 0 is the primary. *)
-
-type stats = {
-  validations_served : int array;  (** per replica *)
-  forwarded_to_primary : int;  (** replica-miss fallbacks *)
-  issues : int;
-  revocations : int;
-  failovers : int;  (** router retries past a dead replica *)
-  exhausted : int;  (** validations failed: no live replica *)
-}
-
-val stats : t -> stats

@@ -55,8 +55,9 @@ val unsubscribe : 'a t -> subscription -> unit
 (** Idempotent, O(1) amortised: the entry is flagged and swept out of the
     topic bucket once flagged entries outnumber live ones. Publishes in
     flight at unsubscribe time are suppressed at delivery and counted under
-    [stats.suppressed], so every scheduled notification is accounted for:
-    for each publish, subscribers-at-publish-time = notified + suppressed. *)
+    [broker.suppressed{cause=unsubscribed}], so every scheduled
+    notification is accounted for: for each publish,
+    subscribers-at-publish-time = notified + suppressed. *)
 
 val publish : ?src:Oasis_util.Ident.t -> ?retain:bool -> 'a t -> topic -> 'a -> unit
 (** Callable from any context. Delivery order to distinct subscribers of one
@@ -91,18 +92,3 @@ val retained : 'a t -> topic -> reader:Oasis_util.Ident.t -> 'a option
     push-based revocation list. *)
 
 val subscriber_count : 'a t -> topic -> int
-
-type stats = {
-  published : int;  (** publish calls *)
-  notified : int;  (** subscriber callbacks actually run *)
-  suppressed : int;  (** in-flight unsubscribes + partition suppressions *)
-}
-
-val stats : 'a t -> stats
-
-val suppressed_by_cause : 'a t -> (string * int) list
-(** Per-cause suppression counts ([unsubscribed], [partitioned]); the
-    registry keys are [broker.suppressed{cause=...}]. [stats.suppressed] is
-    their sum. *)
-
-val reset_stats : 'a t -> unit

@@ -6,7 +6,6 @@ module Counter = struct
   let inc t = t.n <- t.n + 1
   let add t k = t.n <- t.n + k
   let value t = t.n
-  let reset t = t.n <- 0
 end
 
 module Gauge = struct
@@ -15,7 +14,6 @@ module Gauge = struct
   let set t v = t.v <- v
   let add t d = t.v <- t.v +. d
   let value t = t.v
-  let reset t = t.v <- 0.0
 end
 
 module Histogram = struct
@@ -37,12 +35,6 @@ module Histogram = struct
   let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
   let min t = t.min
   let max t = t.max
-
-  let reset t =
-    t.count <- 0;
-    t.sum <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity
 end
 
 type metric =
@@ -137,6 +129,47 @@ let metric_values t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let value t key = List.assoc_opt key (metric_values t)
+
+let read t ?(labels = []) name =
+  let key = render_key name labels in
+  match Hashtbl.find_opt t.metrics key with
+  | Some (_, _, M_counter c) -> Counter.value c
+  | Some _ -> kind_error key
+  | None -> 0
+
+type snapshot = (string * float) list
+
+let snapshot t =
+  Hashtbl.fold
+    (fun key (name, labels, metric) acc ->
+      match metric with
+      | M_counter c -> (key, float_of_int (Counter.value c)) :: acc
+      | M_gauge _ -> acc
+      | M_histogram h ->
+          (render_key (name ^ ".count") labels, float_of_int (Histogram.count h))
+          :: (render_key (name ^ ".sum") labels, Histogram.sum h)
+          :: acc)
+    t.metrics []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* A merge of two key-sorted lists. The registry never drops a key, so
+   [after] holds every key of [before]; one registered in between counts
+   from zero. *)
+let diff before after =
+  let rec go before after acc =
+    match (before, after) with
+    | _, [] -> List.rev acc
+    | (kb, vb) :: before', (ka, va) :: after' ->
+        let c = compare kb ka in
+        if c < 0 then go before' after acc
+        else if c > 0 then go before after' (if va <> 0.0 then (ka, va) :: acc else acc)
+        else go before' after' (if va <> vb then (ka, va -. vb) :: acc else acc)
+    | [], (ka, va) :: after' -> go [] after' (if va <> 0.0 then (ka, va) :: acc else acc)
+  in
+  go before after []
+
+let delta d ?(labels = []) name =
+  match List.assoc_opt (render_key name labels) d with Some v -> int_of_float v | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Tracing                                                            *)

@@ -4,11 +4,13 @@
     runtime behaviour — how fast an env change cascades into revocation, how
     many messages a validation round costs. Every layer of the reproduction
     therefore reports into one shared registry owned by the world, and the
-    per-module [stats] records ({!Oasis_sim.Network.stats},
-    {!Oasis_event.Broker.stats}, [Service.stats], …) are views over it
-    rather than private mutable state. Spans and events stream to pluggable
-    sinks: an in-memory sink for tests and a JSONL exporter for tooling
-    ([oasisctl trace]). See DESIGN.md §10.
+    registry is the only place a count is kept: modules hold counter
+    handles, never private tallies or views. Readers take a {!read} of one
+    key, a {!metric_values} listing, or a {!diff} of two {!snapshot}s;
+    nothing resets a counter, so readers never disturb one another. Spans
+    and events stream to pluggable sinks: an in-memory sink for tests and a
+    JSONL exporter for tooling ([oasisctl trace]). DESIGN.md §10 lists
+    every key.
 
     {b Cost model.} Metrics are always live: a counter increment is one
     mutable-field update, exactly what the old private records paid. Tracing
@@ -29,7 +31,6 @@ module Counter : sig
   val inc : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  val reset : t -> unit
 end
 
 (** Last-value float gauges. *)
@@ -39,7 +40,6 @@ module Gauge : sig
   val set : t -> float -> unit
   val add : t -> float -> unit
   val value : t -> float
-  val reset : t -> unit
 end
 
 (** Streaming histograms (count / sum / min / max; no buckets — the
@@ -56,7 +56,6 @@ module Histogram : sig
 
   val min : t -> float
   val max : t -> float
-  val reset : t -> unit
 end
 
 type t
@@ -97,6 +96,36 @@ val metric_values : t -> (string * float) list
 
 val value : t -> string -> float option
 (** Looks one rendered key up in {!metric_values}. *)
+
+val read : t -> ?labels:label list -> string -> int
+(** The current value of the counter registered under [name] and [labels];
+    [0] when no such key exists. Unlike {!counter} it never registers the
+    key, so reading leaves {!metric_values} unchanged. Raises
+    [Invalid_argument] if the key is a gauge or a histogram (a histogram's
+    derived [.count]/[.sum] entries are not registered keys: read them from
+    {!metric_values} or a {!diff}). *)
+
+(** {1 Snapshots and diffs}
+
+    Counters are never reset: every reader shares them. A measurement
+    phase takes a {!snapshot} before and after and reads the {!diff}, so
+    phases may overlap or nest and each sees only its own increments. *)
+
+type snapshot
+(** A frozen copy of every counter and of every histogram's [.count] and
+    [.sum], keyed as in {!metric_values}. Gauges are state, not totals,
+    and are not captured. *)
+
+val snapshot : t -> snapshot
+
+val diff : snapshot -> snapshot -> (string * float) list
+(** [diff before after] is [after − before] per key, sorted by key. Keys
+    whose value did not change are omitted; a key registered after
+    [before] was taken counts from zero. *)
+
+val delta : (string * float) list -> ?labels:label list -> string -> int
+(** The change a {!diff} records for one counter (or a histogram's
+    [name.count]); [0] when the key is absent, i.e. unchanged. *)
 
 (** {1 Tracing} *)
 

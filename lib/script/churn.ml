@@ -297,7 +297,9 @@ let finish c =
   end
 
 let summarise c =
-  let st = Service.stats c.gate in
+  let n key =
+    Oasis_obs.Obs.read (World.obs c.world) ~labels:[ ("service", Service.service_name c.gate) ] key
+  in
   {
     seed = c.cfg.seed;
     t_end = World.now c.world;
@@ -305,8 +307,8 @@ let summarise c =
     mid_crashes = c.mid_crashes;
     gate_restarts = c.gate_restarts;
     grants = c.grants;
-    cascade_deactivations = st.Service.cascade_deactivations;
-    flaps_suppressed = st.Service.flaps_suppressed;
+    cascade_deactivations = n "service.cascade_deactivations";
+    flaps_suppressed = n "trust.flaps_suppressed";
     final_score = score c;
     trusted_at_end = trusted_active c;
     wallet_subject = History.size (World.wallet c.world c.subject_id);

@@ -376,11 +376,12 @@ let exec_fault st line words =
 
 let show st line svc_name =
   let svc = find st.services line "service" svc_name in
-  let stats = Service.stats svc in
+  let obs = World.obs (world st line) in
+  let n key = Obs.read obs ~labels:[ ("service", Service.service_name svc) ] ("service." ^ key) in
   say st "%s: %d active role(s); act +%d/-%d; inv +%d/-%d; revocations %d" svc_name
     (List.length (Service.active_roles svc))
-    stats.Service.activations_granted stats.Service.activations_denied
-    stats.Service.invocations_granted stats.Service.invocations_denied stats.Service.revocations;
+    (n "activations_granted") (n "activations_denied") (n "invocations_granted")
+    (n "invocations_denied") (n "revocations");
   List.iter
     (fun (_, role, args, principal) ->
       say st "  %s(%s) held by %s" role

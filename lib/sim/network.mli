@@ -96,21 +96,3 @@ val set_tracer :
 (** Observes every message handed to the network (including ones that will
     be lost), before delivery scheduling. For debugging and packet traces;
     [None] removes the tracer. *)
-
-(** Traffic statistics — a view over the registry counters. *)
-type stats = {
-  sent : int;  (** messages handed to the network, including lost ones *)
-  delivered : int;
-  dropped : int;  (** sum over the per-cause counters, see {!dropped_by_cause} *)
-  rpcs : int;  (** completed round trips *)
-  bytes_sent : int;  (** per [size_of]; 0 when no estimator was given *)
-}
-
-val stats : 'msg t -> stats
-
-val dropped_by_cause : 'msg t -> (string * int) list
-(** Per-cause drop counts ([src_down], [dst_missing], [partitioned],
-    [link_loss], [in_flight_down], [handler_error]); the registry keys are
-    [net.dropped{cause=...}]. [stats.dropped] is their sum. *)
-
-val reset_stats : 'msg t -> unit

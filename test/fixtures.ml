@@ -22,12 +22,43 @@ module Term = Oasis_policy.Term
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
 module Dlog = Oasis_trust.Decision_log
+module Civ = Oasis_domain.Civ
+module Obs = Oasis_obs.Obs
 
 (* A service's granted requests, oldest first, read from its decision log. *)
 let grants svc =
   List.filter
     (fun (r : Dlog.record) -> r.decision = Dlog.Grant)
     (Dlog.records (Service.decision_log svc))
+
+(* Registry reads. Every count lives in the world's Obs registry; these
+   fill in the labels the tests use most. [svc_count] reads a counter
+   labelled with the service's name ([service.*], [svc.*],
+   [trust.flaps_suppressed]); [svc_delta] reads the same key from an
+   [Obs.diff]. *)
+let svc_labels svc labels = ("service", Service.service_name svc) :: labels
+
+let svc_count ?(labels = []) svc name =
+  Obs.read (World.obs (Service.world svc)) ~labels:(svc_labels svc labels) name
+
+let svc_delta ?(labels = []) d svc name = Obs.delta d ~labels:(svc_labels svc labels) name
+
+(* The sum over every label set of one counter name, e.g. all
+   [net.dropped{cause=..}] drops. *)
+let total obs name =
+  let prefix = name ^ "{" in
+  List.fold_left
+    (fun acc (key, v) ->
+      if key = name || String.starts_with ~prefix key then acc + int_of_float v else acc)
+    0 (Obs.metric_values obs)
+
+(* A CIV cluster's [civ.*] counters, and the validations one replica
+   answered. *)
+let civ_count obs civ name = Obs.read obs ~labels:[ ("civ", Civ.civ_name civ) ] name
+
+let civ_served_by obs civ i =
+  Obs.read obs "civ.validations_served"
+    ~labels:[ ("civ", Civ.civ_name civ); ("replica", string_of_int i) ]
 
 (* Appointment issuance is itself policy (the 'appoint' statements). *)
 let hospital_policy =

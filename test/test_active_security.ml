@@ -26,8 +26,8 @@ let test_appointment_revocation_cascades () =
   Alcotest.(check bool) "doctor collapsed" false (role_active t session "doctor");
   Alcotest.(check bool) "treating_doctor collapsed" false (role_active t session "treating_doctor");
   Alcotest.(check bool) "logged_in survives" true (role_active t session "logged_in");
-  let st = Service.stats t.hospital in
-  Alcotest.(check int) "two cascade deactivations" 2 st.Service.cascade_deactivations
+  Alcotest.(check int) "two cascade deactivations" 2
+    (Fixtures.svc_count t.hospital "service.cascade_deactivations")
 
 let test_env_retraction_cascades () =
   (* Retracting assigned(alice, 7) kills treating_doctor only. *)
@@ -267,8 +267,8 @@ let test_heartbeat_mode_cascade () =
   Alcotest.(check bool) "treating collapsed transitively" false
     (role_active t session "treating_doctor");
   (* Staleness: collapse took at least one deadline, unlike change events. *)
-  let st = Service.stats t.hospital in
-  Alcotest.(check bool) "cascades recorded" true (st.Service.cascade_deactivations >= 2)
+  Alcotest.(check bool) "cascades recorded" true
+    (Fixtures.svc_count t.hospital "service.cascade_deactivations" >= 2)
 
 let test_heartbeat_mode_healthy_roles_survive () =
   let monitoring = World.Heartbeats { period = 1.0; deadline = 3.0 } in

@@ -84,7 +84,7 @@ let test_collapse_propagation_time () =
   World.settle world;
   ignore t0;
   (* Each hop adds one broker notification; verify monotone cascade counts. *)
-  let st = Array.map (fun s -> (Service.stats s).Service.cascade_deactivations) services in
+  let st = Array.map (fun s -> Fixtures.svc_count s "service.cascade_deactivations") services in
   Array.iteri
     (fun i n ->
       if i > 0 then Alcotest.(check int) (Printf.sprintf "s%d cascaded" i) 1 n)
@@ -131,16 +131,17 @@ let test_broker_traffic_proportional_to_tree () =
   let services = build_simple_chain world 4 in
   let p = Principal.create world ~name:"p" in
   let session = activate_chain world services p in
-  let broker = World.broker world in
-  Oasis_event.Broker.reset_stats broker;
+  let obs = World.obs world in
+  let before = Oasis_obs.Obs.snapshot obs in
   let root_rmc =
     List.find (fun (r : Oasis_cert.Rmc.t) -> r.role = "r0") (Principal.session_rmcs session)
   in
   ignore (Service.revoke_certificate services.(0) root_rmc.Oasis_cert.Rmc.id ~reason:"x");
   World.settle world;
-  let stats = Oasis_event.Broker.stats broker in
+  let revocation = Oasis_obs.Obs.(diff before (snapshot obs)) in
   (* One invalidation publish per collapsed certificate. *)
-  Alcotest.(check int) "one publish per dead role" 5 stats.Oasis_event.Broker.published
+  Alcotest.(check int) "one publish per dead role" 5
+    (Oasis_obs.Obs.delta revocation "broker.published")
 
 let suite =
   ( "cascade",

@@ -202,10 +202,12 @@ let test_chaos_deterministic () =
       step c rng
     done;
     finish c;
-    let st = Service.stats c.relying in
+    let reconciled outcome =
+      Fixtures.svc_count c.relying ~labels:[ ("outcome", outcome) ] "svc.reconciled"
+    in
     Printf.sprintf "t=%.4f sus=%d rein=%d rev=%d probes=%d" (World.now c.world)
-      st.Service.suspects st.Service.reconciled_reinstated st.Service.reconciled_revoked
-      c.probes
+      (Fixtures.svc_count c.relying "svc.suspect")
+      (reconciled "reinstated") (reconciled "revoked") c.probes
   in
   let traces =
     List.map

@@ -78,7 +78,8 @@ let test_unreplicated_cert_forwarded_to_primary () =
         !oks)
   in
   Alcotest.(check bool) "all validations true" true result;
-  Alcotest.(check bool) "some were forwarded" true ((Civ.stats civ).Civ.forwarded_to_primary >= 1)
+  Alcotest.(check bool) "some were forwarded" true
+    (Fixtures.civ_count (World.obs world) civ "civ.forwarded" >= 1)
 
 let test_revocation_propagates () =
   let world, civ = make_civ () in
@@ -105,7 +106,8 @@ let test_failover () =
     Alcotest.(check bool) "validates despite dead replica" true
       (validate_via_router world civ appt)
   done;
-  Alcotest.(check bool) "failovers recorded" true ((Civ.stats civ).Civ.failovers >= 1)
+  Alcotest.(check bool) "failovers recorded" true
+    (Fixtures.civ_count (World.obs world) civ "civ.failovers" >= 1)
 
 let test_reads_survive_primary_down () =
   let world, civ = make_civ () in
@@ -134,7 +136,8 @@ let test_all_replicas_down () =
     Civ.set_replica_down civ i true
   done;
   Alcotest.(check bool) "exhausted returns false" false (validate_via_router world civ appt);
-  Alcotest.(check bool) "exhaustion recorded" true ((Civ.stats civ).Civ.exhausted >= 1)
+  Alcotest.(check bool) "exhaustion recorded" true
+    (Fixtures.civ_count (World.obs world) civ "civ.exhausted" >= 1)
 
 let test_round_robin_spreads_load () =
   let world, civ = make_civ () in
@@ -144,10 +147,10 @@ let test_round_robin_spreads_load () =
   for _ = 1 to 9 do
     ignore (validate_via_router world civ appt)
   done;
-  let served = (Civ.stats civ).Civ.validations_served in
-  Array.iteri
-    (fun i n -> Alcotest.(check bool) (Printf.sprintf "replica %d served ~3 (%d)" i n) true (n >= 2))
-    served
+  for i = 0 to Civ.replica_count civ - 1 do
+    let n = Fixtures.civ_served_by (World.obs world) civ i in
+    Alcotest.(check bool) (Printf.sprintf "replica %d served ~3 (%d)" i n) true (n >= 2)
+  done
 
 let test_epoch_rotation () =
   let world, civ = make_civ () in
@@ -196,7 +199,8 @@ let test_sync_replication_no_staleness () =
   for _ = 1 to 3 do
     Alcotest.(check bool) "validates" true (validate_via_router world civ appt)
   done;
-  Alcotest.(check int) "no primary fallbacks" 0 (Civ.stats civ).Civ.forwarded_to_primary;
+  Alcotest.(check int) "no primary fallbacks" 0
+    (Fixtures.civ_count (World.obs world) civ "civ.forwarded");
   Alcotest.(check bool) "revocation also synchronous" true
     (Civ.revoke civ id ~reason:"x" && not (Civ.replica_view civ 1 id))
 

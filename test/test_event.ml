@@ -82,11 +82,9 @@ let test_stats () =
   Broker.publish broker "t" 1;
   Broker.publish broker "u" 2;
   Engine.run engine;
-  let stats = Broker.stats broker in
-  Alcotest.(check int) "published" 2 stats.Broker.published;
-  Alcotest.(check int) "notified" 2 stats.Broker.notified;
-  Broker.reset_stats broker;
-  Alcotest.(check int) "reset" 0 (Broker.stats broker).Broker.published
+  let read = Oasis_obs.Obs.read (Broker.obs broker) in
+  Alcotest.(check int) "published" 2 (read "broker.published");
+  Alcotest.(check int) "notified" 2 (read "broker.notified")
 
 let test_fifo_per_subscriber () =
   let engine, broker = make () in

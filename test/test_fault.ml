@@ -5,12 +5,11 @@ module World = Oasis_core.World
 module Service = Oasis_core.Service
 module Principal = Oasis_core.Principal
 module Protocol = Oasis_core.Protocol
-module Network = Oasis_sim.Network
 module Fault = Oasis_sim.Fault
-module Broker = Oasis_event.Broker
 module Heartbeat = Oasis_event.Heartbeat
 module Backoff = Oasis_util.Backoff
 module Rng = Oasis_util.Rng
+module Obs = Oasis_obs.Obs
 
 let ok = function
   | Ok v -> v
@@ -64,27 +63,33 @@ let cut world issuer relying =
 
 let heal world = Fault.heal (World.fault world) "wan"
 
+(* Suspect roles a reconciliation resolved with the given outcome. *)
+let reconciled svc outcome =
+  Fixtures.svc_count svc ~labels:[ ("outcome", outcome) ] "svc.reconciled"
+
 let test_partition_suspect_reinstate () =
   let world, issuer, relying = build () in
   let _, _, _, derived = establish world issuer relying in
   cut world issuer relying;
   provoke world issuer relying;
-  let dropped = List.assoc "partitioned" (Network.dropped_by_cause (World.network world)) in
+  let obs = World.obs world in
+  let dropped = Obs.read obs ~labels:[ ("cause", "partitioned") ] "net.dropped" in
   Alcotest.(check bool) "partition drops counted" true (dropped > 0);
-  let by_cause = Network.dropped_by_cause (World.network world) in
   Alcotest.(check int)
     "drop causes sum to total"
-    (Network.stats (World.network world)).Network.dropped
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 by_cause);
+    (Fixtures.total obs "net.dropped")
+    (List.fold_left
+       (fun acc cause -> acc + Obs.read obs ~labels:[ ("cause", cause) ] "net.dropped")
+       0
+       [ "src_down"; "dst_missing"; "partitioned"; "link_loss"; "in_flight_down"; "handler_error" ]);
   Alcotest.(check int) "role is suspect, not dropped" 1 (Service.suspect_count relying);
   Alcotest.(check bool) "suspect role still active" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
   heal world;
   World.settle world;
   Alcotest.(check int) "suspect resolved after heal" 0 (Service.suspect_count relying);
-  let stats = Service.stats relying in
-  Alcotest.(check int) "reinstated by reconciliation" 1 stats.Service.reconciled_reinstated;
-  Alcotest.(check int) "nothing revoked" 0 stats.Service.reconciled_revoked;
+  Alcotest.(check int) "reinstated by reconciliation" 1 (reconciled relying "reinstated");
+  Alcotest.(check int) "nothing revoked" 0 (reconciled relying "revoked");
   Alcotest.(check bool) "role survives" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id)
 
@@ -95,7 +100,7 @@ let test_missed_revocation_reconciled () =
   ignore (Service.revoke_certificate issuer base.Oasis_cert.Rmc.id ~reason:"gone");
   World.settle world;
   let suppressed =
-    List.assoc "partitioned" (Broker.suppressed_by_cause (World.broker world))
+    Obs.read (World.obs world) ~labels:[ ("cause", "partitioned") ] "broker.suppressed"
   in
   Alcotest.(check bool) "invalidation suppressed by partition" true (suppressed > 0);
   Alcotest.(check bool) "grant is stale while partitioned" true
@@ -106,9 +111,9 @@ let test_missed_revocation_reconciled () =
   World.settle world;
   Alcotest.(check bool) "missed revocation completed" false
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
-  let stats = Service.stats relying in
-  Alcotest.(check int) "reconciled as revoked" 1 stats.Service.reconciled_revoked;
-  Alcotest.(check bool) "counted as cascade" true (stats.Service.cascade_deactivations >= 1)
+  Alcotest.(check int) "reconciled as revoked" 1 (reconciled relying "revoked");
+  Alcotest.(check bool) "counted as cascade" true
+    (Fixtures.svc_count relying "service.cascade_deactivations" >= 1)
 
 let test_grace_expiry_fail_closed () =
   let world, issuer, relying = build () in
@@ -121,9 +126,8 @@ let test_grace_expiry_fail_closed () =
   Alcotest.(check int) "suspect resolved by degradation" 0 (Service.suspect_count relying);
   Alcotest.(check bool) "role conservatively deactivated" false
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
-  let stats = Service.stats relying in
   Alcotest.(check int) "no reconciliation outcome" 0
-    (stats.Service.reconciled_reinstated + stats.Service.reconciled_revoked)
+    (reconciled relying "reinstated" + reconciled relying "revoked")
 
 let test_fail_open_keeps_stale_grant () =
   (* The deliberate ablation bug: with [fail_open] the grace expiry keeps
@@ -156,8 +160,7 @@ let test_crash_restart_reinstates () =
     (Service.suspect_count relying);
   Alcotest.(check bool) "role reinstated" true
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
-  Alcotest.(check int) "reinstated outcome counted" 1
-    (Service.stats relying).Service.reconciled_reinstated
+  Alcotest.(check int) "reinstated outcome counted" 1 (reconciled relying "reinstated")
 
 let test_crash_misses_revocation () =
   let world, issuer, relying = build () in
@@ -169,8 +172,7 @@ let test_crash_misses_revocation () =
   World.settle world;
   Alcotest.(check bool) "revocation missed while down is completed" false
     (Service.is_valid_certificate relying derived.Oasis_cert.Rmc.id);
-  Alcotest.(check int) "reconciled as revoked" 1
-    (Service.stats relying).Service.reconciled_revoked
+  Alcotest.(check int) "reconciled as revoked" 1 (reconciled relying "revoked")
 
 let test_heartbeat_silence_suspect () =
   let monitoring = World.Heartbeats { period = 0.5; deadline = 1.5 } in

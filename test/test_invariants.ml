@@ -197,7 +197,7 @@ let check_invariants f =
             end)
       active;
     (* I4: bookkeeping *)
-    let st = Service.stats f.services.(si) in
+    let granted = Fixtures.svc_count f.services.(si) "service.activations_granted" in
     let audited_activations =
       List.length
         (List.filter
@@ -205,22 +205,23 @@ let check_invariants f =
              String.length e.action >= 9 && String.sub e.action 0 9 = "activate:")
            (Fixtures.grants f.services.(si)))
     in
-    if st.Service.activations_granted <> audited_activations then
-      Alcotest.failf "I4 violated at svc%d: %d granted vs %d audited" si
-        st.Service.activations_granted audited_activations;
-    if List.length (Service.active_roles f.services.(si)) > st.Service.activations_granted then
+    if granted <> audited_activations then
+      Alcotest.failf "I4 violated at svc%d: %d granted vs %d audited" si granted
+        audited_activations;
+    if List.length (Service.active_roles f.services.(si)) > granted then
       Alcotest.fail "I4 violated: more active roles than grants"
   done
 
 let summary f =
   let buffer = Buffer.create 256 in
   for si = 0 to n_services - 1 do
-    let st = Service.stats f.services.(si) in
+    let svc = f.services.(si) in
+    let n = Fixtures.svc_count svc in
     Buffer.add_string buffer
-      (Printf.sprintf "svc%d[+%d -%d act:%d rev:%d] " si st.Service.activations_granted
-         st.Service.activations_denied
-         (List.length (Service.active_roles f.services.(si)))
-         st.Service.revocations)
+      (Printf.sprintf "svc%d[+%d -%d act:%d rev:%d] " si (n "service.activations_granted")
+         (n "service.activations_denied")
+         (List.length (Service.active_roles svc))
+         (n "service.revocations"))
   done;
   Buffer.contents buffer
 

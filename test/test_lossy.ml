@@ -77,13 +77,13 @@ let test_negative_verdict_not_retried () =
   let session, rmc = base_rmc in
   ignore (Service.revoke_certificate issuer rmc.Oasis_cert.Rmc.id ~reason:"gone");
   World.settle world;
-  let before = (Service.stats relying).Service.callbacks_out in
+  let before = Fixtures.svc_count relying "service.callbacks_out" in
   World.run_proc world (fun () ->
       match Principal.activate p session relying ~role:"derived" () with
       | Error Protocol.No_proof -> ()
       | _ -> Alcotest.fail "revoked base accepted");
   Alcotest.(check int) "exactly one callback" 1
-    ((Service.stats relying).Service.callbacks_out - before)
+    (Fixtures.svc_count relying "service.callbacks_out" - before)
 
 let suite =
   ( "lossy",

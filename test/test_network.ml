@@ -32,9 +32,9 @@ let test_oneway_delivery_and_latency () =
   (match !received with
   | Some (Ping, t) -> Alcotest.(check (float 1e-9)) "after latency" 1.0 t
   | _ -> Alcotest.fail "wrong delivery");
-  let stats = Network.stats net in
-  Alcotest.(check int) "sent" 1 stats.Network.sent;
-  Alcotest.(check int) "delivered" 1 stats.Network.delivered
+  let read = Oasis_obs.Obs.read (Network.obs net) in
+  Alcotest.(check int) "sent" 1 (read "net.sent");
+  Alcotest.(check int) "delivered" 1 (read "net.delivered")
 
 let test_rpc_roundtrip () =
   let engine, net = make () in
@@ -52,7 +52,7 @@ let test_rpc_roundtrip () =
   (match !result with
   | Some (Echoed 42, t) -> Alcotest.(check (float 1e-9)) "two legs" 2.0 t
   | _ -> Alcotest.fail "wrong rpc result");
-  Alcotest.(check int) "rpcs counted" 1 (Network.stats net).Network.rpcs
+  Alcotest.(check int) "rpcs counted" 1 (Oasis_obs.Obs.read (Network.obs net) "net.rpcs")
 
 let test_rpc_nested () =
   (* Node 1's handler performs its own RPC to node 2 — the Fig. 3 chain. *)
@@ -86,9 +86,9 @@ let test_unknown_destination_dropped () =
   Network.add_node net (node_id 0) silent_handler;
   Network.send net ~src:(node_id 0) ~dst:(node_id 9) Ping;
   Engine.run engine;
-  let stats = Network.stats net in
-  Alcotest.(check int) "dropped" 1 stats.Network.dropped;
-  Alcotest.(check int) "not delivered" 0 stats.Network.delivered
+  let obs = Network.obs net in
+  Alcotest.(check int) "dropped" 1 (Fixtures.total obs "net.dropped");
+  Alcotest.(check int) "not delivered" 0 (Oasis_obs.Obs.read obs "net.delivered")
 
 let test_down_node () =
   let engine, net = make () in
@@ -156,8 +156,9 @@ let test_lossy_link () =
     (Printf.sprintf "roughly half lost (%d)" !received)
     true
     (!received > 60 && !received < 140);
-  let stats = Network.stats net in
-  Alcotest.(check int) "conservation" 200 (stats.Network.delivered + stats.Network.dropped)
+  let obs = Network.obs net in
+  Alcotest.(check int) "conservation" 200
+    (Oasis_obs.Obs.read obs "net.delivered" + Fixtures.total obs "net.dropped")
 
 let test_link_override_latency () =
   let engine, net = make ~latency:5.0 () in

@@ -131,6 +131,97 @@ let test_jsonl_rejects_malformed () =
       {|{"seq":1,"ts":1.0,"ph":"I","span":0,"name":"x","labels":{"k":1}}|};
     ]
 
+(* Snapshots and diffs replace resetting shared counters: a measurement
+   phase reads exactly the increments made inside it. Random interleavings
+   of increments on labelled counters (amount 0 registers a key without
+   changing it) before, between and after two snapshots; the diff must be
+   the per-key sum of the increments in between, with every other key —
+   untouched, registered-but-unchanged, gauge — absent. *)
+let test_diff_is_increments_between_snapshots () =
+  let op = QCheck.(triple (int_bound 2) (int_bound 2) (int_bound 3)) in
+  let phase = QCheck.(list_of_size Gen.(int_bound 12) op) in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"diff = increments between snapshots"
+       QCheck.(triple phase phase phase)
+       (fun (prefix, middle, suffix) ->
+         let obs = Obs.null () in
+         let key (n, l, _) = ("c" ^ string_of_int n, [ ("l", string_of_int l) ]) in
+         let apply ops =
+           List.iter
+             (fun ((_, _, k) as o) ->
+               let name, labels = key o in
+               Obs.Counter.add (Obs.counter obs name ~labels) k)
+             ops
+         in
+         apply prefix;
+         let before = Obs.snapshot obs in
+         apply middle;
+         Obs.Gauge.set (Obs.gauge obs "g") 1.0;
+         let after = Obs.snapshot obs in
+         apply suffix;
+         let expected =
+           List.fold_left
+             (fun acc ((_, _, k) as o) ->
+               let name, labels = key o in
+               let rk = Obs.render_key name labels in
+               let prev = Option.value ~default:0 (List.assoc_opt rk acc) in
+               (rk, prev + k) :: List.remove_assoc rk acc)
+             [] middle
+           |> List.filter (fun (_, v) -> v <> 0)
+           |> List.map (fun (k, v) -> (k, float_of_int v))
+           |> List.sort compare
+         in
+         let d = Obs.diff before after in
+         let every_key = List.init 9 (fun i -> key (i / 3, i mod 3, 0)) in
+         d = expected
+         && List.for_all
+              (fun (name, labels) ->
+                let want = List.assoc_opt (Obs.render_key name labels) expected in
+                Obs.delta d ~labels name = int_of_float (Option.value ~default:0.0 want))
+              every_key))
+
+(* Reading is not registering: an absent key reads 0 and leaves the
+   registry exactly as it was; a present counter reads its value; a key of
+   another kind is refused. *)
+let test_read_absent_key_registers_nothing () =
+  let obs = Obs.null () in
+  Obs.Counter.add (Obs.counter obs "hits" ~labels:[ ("svc", "a") ]) 3;
+  Obs.Gauge.set (Obs.gauge obs "level") 2.0;
+  let listing = Obs.metric_values obs in
+  Alcotest.(check int) "absent name" 0 (Obs.read obs "nope");
+  Alcotest.(check int) "absent label set" 0 (Obs.read obs ~labels:[ ("svc", "b") ] "hits");
+  Alcotest.(check (list (pair string (float 0.0)))) "metric_values unchanged" listing
+    (Obs.metric_values obs);
+  Alcotest.(check int) "present counter" 3 (Obs.read obs ~labels:[ ("svc", "a") ] "hits");
+  match Obs.read obs "level" with
+  | _ -> Alcotest.fail "read of a gauge accepted"
+  | exception Invalid_argument _ -> ()
+
+(* Two measurement phases on one registry, one nested in the other, each
+   see their own deltas — resetting the counters at the start of the inner
+   phase would have zeroed the outer one's. Histograms diff on .count and
+   .sum. *)
+let test_nested_phases_see_own_deltas () =
+  let obs = Obs.null () in
+  let a = Obs.counter obs "a" and h = Obs.histogram obs "lat" in
+  Obs.Counter.inc a;
+  let outer = Obs.snapshot obs in
+  Obs.Counter.inc a;
+  let inner = Obs.snapshot obs in
+  Obs.Counter.add a 2;
+  Obs.Counter.inc (Obs.counter obs "b" ~labels:[ ("k", "v") ]);
+  Obs.Histogram.observe h 0.5;
+  let inner_d = Obs.diff inner (Obs.snapshot obs) in
+  Obs.Counter.add a 10;
+  let outer_d = Obs.diff outer (Obs.snapshot obs) in
+  Alcotest.(check (list (pair string (float 1e-9)))) "inner phase"
+    [ ("a", 2.0); ("b{k=v}", 1.0); ("lat.count", 1.0); ("lat.sum", 0.5) ] inner_d;
+  Alcotest.(check (list (pair string (float 1e-9)))) "outer phase"
+    [ ("a", 13.0); ("b{k=v}", 1.0); ("lat.count", 1.0); ("lat.sum", 0.5) ] outer_d;
+  Alcotest.(check int) "delta of a labelled key" 1 (Obs.delta inner_d ~labels:[ ("k", "v") ] "b");
+  Alcotest.(check int) "delta of an unchanged key" 0 (Obs.delta inner_d "absent");
+  Alcotest.(check int) "the counter itself is untouched" 14 (Obs.read obs "a")
+
 (* The cost contract (DESIGN.md §10): with no sink attached, a guarded
    event site is one load-and-branch and a counter bump is one field
    update — the loop must not allocate per iteration. The slack absorbs
@@ -164,4 +255,10 @@ let suite =
       Alcotest.test_case "jsonl rejects malformed" `Quick test_jsonl_rejects_malformed;
       Alcotest.test_case "null config allocates nothing" `Quick
         test_null_config_hot_path_allocates_nothing;
+      Alcotest.test_case "diff = increments between snapshots (qcheck)" `Quick
+        test_diff_is_increments_between_snapshots;
+      Alcotest.test_case "read of an absent key registers nothing" `Quick
+        test_read_absent_key_registers_nothing;
+      Alcotest.test_case "nested phases see their own deltas" `Quick
+        test_nested_phases_see_own_deltas;
     ] )

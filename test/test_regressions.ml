@@ -8,7 +8,7 @@
    - a raising RPC handler fails the round trip instead of stranding it
    - remove_node purges the node's link overrides in both directions
    - drops are attributed to exactly one cause; broker suppression of
-     in-flight deliveries after unsubscribe is visible in the stats *)
+     in-flight deliveries after unsubscribe is visible in the registry *)
 
 module World = Oasis_core.World
 module Service = Oasis_core.Service
@@ -25,6 +25,7 @@ module Proc = Oasis_sim.Proc
 module Ident = Oasis_util.Ident
 module Rng = Oasis_util.Rng
 module Value = Oasis_util.Value
+module Obs = Oasis_obs.Obs
 open Fixtures
 
 (* A negated constraint over an unbound variable must be refused as a bad
@@ -50,7 +51,7 @@ let test_nonground_negation_denied () =
           Alcotest.failf "expected Bad_request, got %s" (Protocol.denial_to_string d));
       ignore
         (ok (Principal.activate p s svc ~role:"risky" ~args:[ Some (Value.Int 1) ] ())));
-  Alcotest.(check int) "refusal recorded" 1 (Service.stats svc).Service.activations_denied
+  Alcotest.(check int) "refusal recorded" 1 (Fixtures.svc_count svc "service.activations_denied")
 
 (* A cancelled watch must cancel its pending engine timer; previously the
    cancel handle was dropped and dead monitors kept a timer in the heap. *)
@@ -97,14 +98,13 @@ let test_decommission_releases_cache_watches () =
   Alcotest.(check bool) "badge topic watched while active" true
     (Broker.subscriber_count broker topic > 0);
   Alcotest.(check bool) "verdict cached" true
-    ((Service.stats svc).Service.cache.Oasis_cert.Validation_cache.entries > 0);
+    (fst (Service.cache_occupancy svc) > 0);
   ignore (Service.decommission svc ~reason:"retired");
   World.settle world;
   Alcotest.(check int) "badge topic released" 0 (Broker.subscriber_count broker topic);
-  let cache = (Service.stats svc).Service.cache in
-  Alcotest.(check int) "cache emptied" 0 cache.Oasis_cert.Validation_cache.entries;
-  Alcotest.(check int) "no cached negatives" 0
-    cache.Oasis_cert.Validation_cache.negative_entries
+  let entries, negative_entries = Service.cache_occupancy svc in
+  Alcotest.(check int) "cache emptied" 0 entries;
+  Alcotest.(check int) "no cached negatives" 0 negative_entries
 
 (* Rules for the same role must be tried in installation order: the first
    rule binds the unpinned parameter even when a later rule also proves. *)
@@ -148,13 +148,15 @@ let test_fact_change_cost_indexed () =
     (Service.env_watcher_count t.hospital "assigned");
   Alcotest.(check int) "excluded is unmarked, unwatched" 0
     (Service.env_watcher_count t.hospital "excluded");
-  Service.reset_stats t.hospital;
+  let obs = World.obs t.world in
+  let before = Obs.snapshot obs in
   Env.assert_fact env "unrelated" [ Value.Int 1 ];
-  Alcotest.(check int) "unwatched change re-checks nothing" 0
-    (Service.stats t.hospital).Service.env_rechecks;
+  let rechecks () =
+    Fixtures.svc_delta (Obs.diff before (Obs.snapshot obs)) t.hospital "service.env_rechecks"
+  in
+  Alcotest.(check int) "unwatched change re-checks nothing" 0 (rechecks ());
   Env.assert_fact env "assigned" [ Value.Id (Principal.id t.alice); Value.Int 999 ];
-  Alcotest.(check int) "watched change re-checks exactly the watcher" 1
-    (Service.stats t.hospital).Service.env_rechecks;
+  Alcotest.(check int) "watched change re-checks exactly the watcher" 1 (rechecks ());
   Alcotest.(check int) "role survived the sentinel change" 1
     (List.length (Service.active_roles_named t.hospital "treating_doctor"))
 
@@ -168,10 +170,11 @@ let test_fact_change_cost_linear_baseline () =
   Env.declare_fact env "unrelated";
   let active = List.length (Service.active_roles t.hospital) in
   Alcotest.(check int) "five RMCs active" 5 active;
-  Service.reset_stats t.hospital;
+  let obs = World.obs t.world in
+  let before = Obs.snapshot obs in
   Env.assert_fact env "unrelated" [ Value.Int 1 ];
   Alcotest.(check int) "unindexed change re-scans every active RMC" active
-    (Service.stats t.hospital).Service.env_rechecks
+    (Fixtures.svc_delta (Obs.diff before (Obs.snapshot obs)) t.hospital "service.env_rechecks")
 
 let counting_handler received =
   { Network.on_oneway = (fun ~src:_ _ -> incr received); on_rpc = (fun ~src:_ m -> m) }
@@ -208,9 +211,10 @@ let test_rpc_handler_error_fails_fast () =
       | exception Proc.Timeout -> Alcotest.fail "waited for the timeout instead of failing fast");
   Engine.run engine;
   Alcotest.(check bool) "failed as soon as the handler died" true (!failed_at -. t0 < 50.0);
+  let obs = Network.obs net in
   Alcotest.(check int) "counted as handler_error" 2
-    (List.assoc "handler_error" (Network.dropped_by_cause net));
-  Alcotest.(check int) "legacy dropped view agrees" 2 (Network.stats net).Network.dropped
+    (Obs.read obs ~labels:[ ("cause", "handler_error") ] "net.dropped");
+  Alcotest.(check int) "no drop under another cause" 2 (Fixtures.total obs "net.dropped")
 
 (* remove_node used to leave the node's link overrides behind, so a later
    node reusing the ident inherited a dead node's link profile. The purge
@@ -228,7 +232,7 @@ let test_remove_node_purges_links () =
   Engine.run engine;
   Alcotest.(check int) "fully lossy link drops" 0 !got_b;
   Alcotest.(check int) "loss attributed to link_loss" 1
-    (List.assoc "link_loss" (Network.dropped_by_cause net));
+    (Obs.read (Network.obs net) ~labels:[ ("cause", "link_loss") ] "net.dropped");
   Network.remove_node net b;
   let got_b' = ref 0 in
   Network.add_node net b (counting_handler got_b');
@@ -238,8 +242,8 @@ let test_remove_node_purges_links () =
   Alcotest.(check int) "reused ident gets the default a->b link" 1 !got_b';
   Alcotest.(check int) "reverse direction purged too" 1 !got_a
 
-(* Every drop carries exactly one cause and the legacy aggregate is their
-   sum; conservation (sent = delivered + dropped) still holds. *)
+(* Every drop carries exactly one cause, and conservation (sent =
+   delivered + dropped over all causes) holds. *)
 let test_drop_causes_sum_to_legacy_total () =
   let engine = Engine.create () in
   let net = Network.create engine (Rng.create 3) ~default_latency:1.0 () in
@@ -256,14 +260,15 @@ let test_drop_causes_sum_to_legacy_total () =
   ignore (Engine.schedule engine ~after:0.5 (fun () -> Network.set_down net c true));
   Network.send net ~src:a ~dst:b ();
   Engine.run engine;
-  let causes = Network.dropped_by_cause net in
-  Alcotest.(check int) "dst_missing" 1 (List.assoc "dst_missing" causes);
-  Alcotest.(check int) "src_down" 1 (List.assoc "src_down" causes);
-  Alcotest.(check int) "in_flight_down" 1 (List.assoc "in_flight_down" causes);
-  let stats = Network.stats net in
-  Alcotest.(check int) "legacy dropped = per-cause sum" 3 stats.Network.dropped;
-  Alcotest.(check int) "conservation" stats.Network.sent
-    (stats.Network.delivered + stats.Network.dropped)
+  let obs = Network.obs net in
+  let cause c = Obs.read obs ~labels:[ ("cause", c) ] "net.dropped" in
+  Alcotest.(check int) "dst_missing" 1 (cause "dst_missing");
+  Alcotest.(check int) "src_down" 1 (cause "src_down");
+  Alcotest.(check int) "in_flight_down" 1 (cause "in_flight_down");
+  let dropped = Fixtures.total obs "net.dropped" in
+  Alcotest.(check int) "dropped = per-cause sum" 3 dropped;
+  Alcotest.(check int) "conservation" (Obs.read obs "net.sent")
+    (Obs.read obs "net.delivered" + dropped)
 
 (* An unsubscribe while a publish is in flight suppresses the delivery;
    the accounting must show it: for each publish, subscribers at publish
@@ -279,10 +284,10 @@ let test_broker_inflight_unsubscribe_accounted () =
   Broker.unsubscribe broker s1;
   Engine.run engine;
   Alcotest.(check int) "one callback ran" 1 !got;
-  let st = Broker.stats broker in
-  Alcotest.(check int) "published" 1 st.Broker.published;
-  Alcotest.(check int) "notified" 1 st.Broker.notified;
-  Alcotest.(check int) "in-flight suppression visible" 1 st.Broker.suppressed
+  let obs = Broker.obs broker in
+  Alcotest.(check int) "published" 1 (Obs.read obs "broker.published");
+  Alcotest.(check int) "notified" 1 (Obs.read obs "broker.notified");
+  Alcotest.(check int) "in-flight suppression visible" 1 (Fixtures.total obs "broker.suppressed")
 
 let suite =
   ( "regressions",

@@ -34,7 +34,7 @@ let test_stolen_rmc_fails () =
       | Ok _ -> Alcotest.fail "stolen RMC accepted"
       | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d));
   Alcotest.(check bool) "validation failure recorded" true
-    ((Service.stats t.hospital).Service.validation_failures >= 1)
+    (Fixtures.svc_count t.hospital "service.validation_failures" >= 1)
 
 let test_stolen_rmc_fails_cross_service () =
   (* Same theft, but presented at a *different* service which validates by
@@ -216,11 +216,11 @@ let test_cache_saves_callbacks () =
         | Ok _ -> ()
         | Error d -> Alcotest.failf "denied: %s" (Protocol.denial_to_string d)
       done);
-  let st = Service.stats clinic in
+  let count = Fixtures.svc_count clinic in
   (* The wallet carries 3 RMCs + 2 appointments; each remote credential needs
      exactly one callback across all 5 requests thanks to the cache. *)
-  Alcotest.(check int) "one callback per distinct credential" 5 st.Service.callbacks_out;
-  Alcotest.(check bool) "cache hits accrued" true (st.Service.cache.Oasis_cert.Validation_cache.hits >= 20)
+  Alcotest.(check int) "one callback per distinct credential" 5 (count "service.callbacks_out");
+  Alcotest.(check bool) "cache hits accrued" true (Fixtures.svc_count clinic "vcache.hits" >= 20)
 
 let test_cache_disabled_calls_back_every_time () =
   let t = make () in
@@ -235,8 +235,8 @@ let test_cache_disabled_calls_back_every_time () =
         | Ok _ -> ()
         | Error d -> Alcotest.failf "denied: %s" (Protocol.denial_to_string d)
       done);
-  let st = Service.stats clinic in
-  Alcotest.(check int) "five requests x five credentials" 25 st.Service.callbacks_out
+  let count = Fixtures.svc_count clinic in
+  Alcotest.(check int) "five requests x five credentials" 25 (count "service.callbacks_out")
 
 let test_cache_invalidated_by_event () =
   (* Revocation at the issuer reaches the remote cache through the event
@@ -254,7 +254,7 @@ let test_cache_invalidated_by_event () =
   ignore (Service.revoke_certificate t.hospital doctor_rmc.Rmc.id ~reason:"revoked");
   World.settle t.world;
   Alcotest.(check bool) "cache entry invalidated" true
-    ((Service.stats clinic).Service.cache.Oasis_cert.Validation_cache.invalidations >= 1);
+    (Fixtures.svc_count clinic "vcache.invalidations" >= 1);
   World.run_proc t.world (fun () ->
       match Principal.activate t.alice session clinic ~role:"consultant" () with
       | Error Protocol.No_proof -> ()
@@ -280,7 +280,7 @@ let test_remote_monitoring_collapses_consultant () =
   World.settle t.world;
   Alcotest.(check int) "consultant collapsed" 0 (List.length (Service.active_roles clinic));
   Alcotest.(check int) "clinic counted the cascade" 1
-    (Service.stats clinic).Service.cascade_deactivations
+    (Fixtures.svc_count clinic "service.cascade_deactivations")
 
 let suite =
   ( "security",

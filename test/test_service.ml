@@ -8,6 +8,7 @@ module Protocol = Oasis_core.Protocol
 module Env = Oasis_policy.Env
 module Value = Oasis_util.Value
 module Rmc = Oasis_cert.Rmc
+module Obs = Oasis_obs.Obs
 open Fixtures
 
 let test_initial_role_activation () =
@@ -193,16 +194,17 @@ let test_audit_log () =
 
 let test_stats_counters () =
   let t = make () in
-  Service.reset_stats t.hospital;
+  let obs = World.obs t.world in
+  let before = Obs.snapshot obs in
   let _session = alice_treating t ~patient:7 in
   World.run_proc t.world (fun () ->
       let s = Principal.start_session t.alice in
       match Principal.activate t.alice s t.hospital ~role:"surgeon" () with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "surgeon?!");
-  let st = Service.stats t.hospital in
-  Alcotest.(check int) "granted" 3 st.Service.activations_granted;
-  Alcotest.(check int) "denied" 1 st.Service.activations_denied
+  let d = Obs.diff before (Obs.snapshot obs) in
+  Alcotest.(check int) "granted" 3 (Fixtures.svc_delta d t.hospital "service.activations_granted");
+  Alcotest.(check int) "denied" 1 (Fixtures.svc_delta d t.hospital "service.activations_denied")
 
 let test_active_roles_and_introspection () =
   let t = make () in
@@ -263,8 +265,8 @@ let test_cross_service_prereq () =
       ignore (ok (Principal.activate p s a ~role:"base" ()));
       ignore (ok (Principal.activate p s c2 ~role:"derived2" ())));
   (* Validation callbacks happened at a. *)
-  let st = Service.stats a in
-  Alcotest.(check bool) "issuer answered callbacks" true (st.Service.callbacks_in >= 1)
+  let count = Fixtures.svc_count a in
+  Alcotest.(check bool) "issuer answered callbacks" true (count "service.callbacks_in" >= 1)
 
 let suite =
   ( "service",

@@ -223,17 +223,19 @@ let activate_derived world issuer relying =
 let test_offline_path_zero_rpcs () =
   let world, issuer, relying = build_pair ~offline:true () in
   activate_derived world issuer relying;
-  let st = Service.stats relying in
-  Alcotest.(check int) "no validation callbacks" 0 st.Service.callbacks_out;
-  Alcotest.(check bool) "offline validations counted" true (st.Service.offline_validations >= 1);
-  Alcotest.(check int) "issuer answered nothing" 0 (Service.stats issuer).Service.callbacks_in
+  let count = Fixtures.svc_count relying in
+  Alcotest.(check int) "no validation callbacks" 0 (count "service.callbacks_out");
+  Alcotest.(check bool) "offline validations counted" true
+    (count "service.offline_validations" >= 1);
+  Alcotest.(check int) "issuer answered nothing" 0
+    (Fixtures.svc_count issuer "service.callbacks_in")
 
 let test_legacy_path_still_calls_back () =
   let world, issuer, relying = build_pair ~offline:false () in
   activate_derived world issuer relying;
-  let st = Service.stats relying in
-  Alcotest.(check bool) "callbacks made" true (st.Service.callbacks_out >= 1);
-  Alcotest.(check int) "no offline validations" 0 st.Service.offline_validations
+  let count = Fixtures.svc_count relying in
+  Alcotest.(check bool) "callbacks made" true (count "service.callbacks_out" >= 1);
+  Alcotest.(check int) "no offline validations" 0 (count "service.offline_validations")
 
 let test_unenrolled_issuer_falls_back () =
   (* The issuer runs legacy HMAC signing (no chain with the root); a relying
@@ -246,9 +248,9 @@ let test_unenrolled_issuer_falls_back () =
   in
   let relying = Service.create world ~name:"relying" ~policy:"derived <- *base@issuer;" () in
   activate_derived world issuer relying;
-  let st = Service.stats relying in
-  Alcotest.(check bool) "fell back to callbacks" true (st.Service.callbacks_out >= 1);
-  Alcotest.(check int) "no offline validations" 0 st.Service.offline_validations;
+  let count = Fixtures.svc_count relying in
+  Alcotest.(check bool) "fell back to callbacks" true (count "service.callbacks_out" >= 1);
+  Alcotest.(check int) "no offline validations" 0 (count "service.offline_validations");
   Alcotest.(check int) "granted" 1
     (List.length (Service.active_roles_named relying "derived"))
 
@@ -283,7 +285,8 @@ let test_revoked_represented_denied_offline () =
       | Error Protocol.No_proof -> ()
       | Ok _ -> Alcotest.fail "revoked badge re-accepted"
       | Error d -> Alcotest.failf "unexpected denial: %s" (Protocol.denial_to_string d));
-  Alcotest.(check int) "all of it without callbacks" 0 (Service.stats club).Service.callbacks_out
+  Alcotest.(check int) "all of it without callbacks" 0
+    (Fixtures.svc_count club "service.callbacks_out")
 
 let test_decommission_revokes_chain () =
   let world = World.create ~seed:37 () in

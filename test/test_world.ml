@@ -196,8 +196,7 @@ let test_remote_predicate () =
       | Error d -> Alcotest.failf "member denied: %s" (Protocol.denial_to_string d));
   (* The lookup really crossed the network. *)
   Alcotest.(check bool) "registry consulted" true
-    (let st = Oasis_sim.Network.stats (World.network world) in
-     st.Oasis_sim.Network.rpcs >= 3);
+    (Obs.read (World.obs world) "net.rpcs" >= 3);
   (* A dead registry counts as "does not hold", not a crash. *)
   Oasis_sim.Network.set_down (World.network world) (Service.id registry) true;
   World.run_proc world (fun () ->
@@ -286,7 +285,7 @@ let test_hysteresis_band () =
   interact world civ ~client:me ~server:peer Audit.Breached;
   Alcotest.(check int) "role survives inside the band" 2 (List.length (Service.active_roles gate));
   Alcotest.(check bool) "flaps suppressed counted" true
-    ((Service.stats gate).Service.flaps_suppressed > 0);
+    (Fixtures.svc_count gate "trust.flaps_suppressed" > 0);
   (* Fresh activations still need the full grant threshold. *)
   World.run_proc world (fun () ->
       match Principal.activate p s gate ~role:"trusted" () with
@@ -310,7 +309,7 @@ let test_no_band_flaps () =
   interact world civ ~client:me ~server:peer Audit.Breached;
   interact world civ ~client:me ~server:peer Audit.Breached;
   Alcotest.(check int) "no band: revoked at 0.5" 1 (List.length (Service.active_roles gate));
-  Alcotest.(check int) "nothing suppressed" 0 (Service.stats gate).Service.flaps_suppressed
+  Alcotest.(check int) "nothing suppressed" 0 (Fixtures.svc_count gate "trust.flaps_suppressed")
 
 (* Anti-entropy re-delivery of an already-filed certificate must not
    cascade: the score did not move, so nobody is poked and no env-watch
@@ -329,14 +328,14 @@ let test_noop_redelivery_suppressed () =
       ~server_outcome:Audit.Fulfilled
   in
   World.settle world;
-  let before = (Service.stats gate).Service.env_rechecks in
+  let before = Fixtures.svc_count gate "service.env_rechecks" in
   Alcotest.(check bool) "genuine certs recheck the watch" true (before > 0);
   Alcotest.(check bool) "duplicate not filed" false
     (World.file_audit_certificate world cert ~party:me);
   World.settle world;
   Alcotest.(check int) "wallet unchanged" 3 (History.size (World.wallet world me));
   Alcotest.(check int) "no recheck cascade on a no-op poke" before
-    (Service.stats gate).Service.env_rechecks;
+    (Fixtures.svc_count gate "service.env_rechecks");
   match Obs.value (World.obs world) "trust.notify_suppressed" with
   | Some v -> Alcotest.(check bool) "suppression counted" true (v >= 1.0)
   | None -> Alcotest.fail "trust.notify_suppressed not registered"
